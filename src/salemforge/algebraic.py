@@ -7,11 +7,12 @@ degenerate interval (lo == hi) encodes an exactly known rational root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .errors import NoRealRoot
+from .errors import NoRealRoot, NoSplitPoint, NotIsolating
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -88,11 +89,7 @@ def _split_point(lo: Fraction, hi: Fraction, avoid) -> Fraction:
             x = lo + (hi - lo) * Fraction(num, den)
             if all(polys.eval_at(f, x) != 0 for f in avoid):
                 return x
-    raise AssertionError("could not find an interior non-root point")
-
-
-def _variations(chain, x) -> int:
-    return polys.chain_variations_at(chain, x)
+    raise NoSplitPoint("could not find an interior non-root point")
 
 
 def isolate_largest_real_root(p, width=None) -> AlgebraicReal:
@@ -110,12 +107,12 @@ def isolate_largest_real_root(p, width=None) -> AlgebraicReal:
     bound = polys.cauchy_bound(sf)
     lo, hi = -bound, bound
     chain = polys.sturm_chain(sf)
-    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
+    v_lo, v_hi = polys.chain_variations_at(chain, lo), polys.chain_variations_at(chain, hi)
     if v_lo - v_hi == 0:
         raise NoRealRoot(f"{polys.poly_to_string(p)} has no real root")
     while v_lo - v_hi > 1:
         m = _split_point(lo, hi, (sf,))
-        v_m = _variations(chain, m)
+        v_m = polys.chain_variations_at(chain, m)
         if v_m - v_hi >= 1:
             lo, v_lo = m, v_m
         else:
@@ -124,27 +121,44 @@ def isolate_largest_real_root(p, width=None) -> AlgebraicReal:
     return refine(a, width) if width is not None else a
 
 
+def _sign_at(p, num: int, den: int) -> int:
+    v = polys.eval_hom(p, num, den)
+    return (v > 0) - (v < 0)
+
+
 def refine(a: AlgebraicReal, width, extra_avoid=()) -> AlgebraicReal:
     """Same root, interval width at most `width`.
 
-    Split points additionally avoid roots of the polynomials in
-    `extra_avoid`, so callers can force endpoints clear of a gcd.
+    Bisects by the sign of the square-free `defining` alone: the interval
+    holds exactly one simple root and no endpoint is a root, so the root
+    lies in [lo, m] iff the signs at lo and m differ.  The midpoint is
+    tried first; if it is a root of `defining` or of a polynomial in
+    `extra_avoid` (so callers can force endpoints clear of a gcd), the
+    split point comes from `_split_point` instead.
     """
     width = Fraction(width)
     if a.is_exact:
         return a
-    lo, hi = a.interval.lo, a.interval.hi
-    avoid = (a.defining, *extra_avoid)
-    chain = polys.sturm_chain(a.defining)
-    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
-    while hi - lo > width:
-        m = _split_point(lo, hi, avoid)
-        v_m = _variations(chain, m)
-        if v_lo - v_m == 1:
-            hi, v_hi = m, v_m
+    f = a.defining
+    # endpoints as lo/den and hi/den over one integer denominator
+    lo, hi, den = polys.common_den(a.interval.lo, a.interval.hi)
+    s_lo = _sign_at(f, lo, den)
+    if s_lo == 0 or s_lo == _sign_at(f, hi, den):
+        raise NotIsolating(f"{a.interval} does not isolate a simple root of {polys.poly_to_string(f)}")
+    while (hi - lo) * width.denominator > width.numerator * den:
+        m, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+        s_m = _sign_at(f, m, den)
+        if s_m == 0 or any(polys.eval_hom(g, m, den) == 0 for g in extra_avoid):
+            x = _split_point(Fraction(lo, den), Fraction(hi, den), (f, *extra_avoid))
+            scale = x.denominator // math.gcd(den, x.denominator)
+            lo, hi, den = lo * scale, hi * scale, den * scale
+            m = x.numerator * (den // x.denominator)
+            s_m = _sign_at(f, m, den)
+        if s_m != s_lo:
+            hi = m
         else:
-            lo, v_lo = m, v_m
-    return AlgebraicReal(a.defining, RationalInterval(lo, hi))
+            lo = m
+    return AlgebraicReal(f, RationalInterval(Fraction(lo, den), Fraction(hi, den)))
 
 
 def refine_clear_of(a: AlgebraicReal, g) -> AlgebraicReal:

@@ -87,6 +87,9 @@ def record_to_entry(record: dict):
             raise StoreCorrupt("stored exact value is not a root")
     elif polys.sturm_count(poly, lo, hi) != 1:
         raise StoreCorrupt("stored interval does not isolate a root")
+    elif polys.sturm_chain(poly)[0] != poly:
+        # refinement bisects by sign, which needs a simple root
+        raise StoreCorrupt("stored polynomial is not primitive and square-free")
     value = AlgebraicReal(poly, RationalInterval(lo, hi))
     return SpectrumEntry(key, value, census, label)
 

@@ -13,6 +13,14 @@ class EndpointIsRoot(SalemforgeError):
     """A Sturm count was requested on an interval whose endpoint is a root."""
 
 
+class NotIsolating(SalemforgeError):
+    """An interval does not isolate exactly one simple root of its polynomial."""
+
+
+class NoSplitPoint(SalemforgeError):
+    """No interior point of an interval avoids the roots of the given polynomials."""
+
+
 class DegenerateSchurStep(SalemforgeError):
     """A Schur-Cohn leading parameter vanished; caller must use a fallback."""
 

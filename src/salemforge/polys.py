@@ -120,21 +120,81 @@ def reverse(p: IntPoly) -> IntPoly:
     return normalize(reversed(p))
 
 
-def eval_at(p: IntPoly, x):
-    """Exact Horner evaluation at an int or Fraction."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
+def eval_hom(p: IntPoly, num: int, den: int) -> int:
+    """den**deg(p) * p(num/den) by homogenised integer Horner.
+
+    For den > 0 the result has the sign of p(num/den); no gcd is taken.
+    """
+    if not p:
+        return 0
+    acc, dk = p[-1], 1
+    for c in reversed(p[:-1]):
+        dk *= den
+        acc = acc * num + c * dk
     return acc
+
+
+def eval_at(p: IntPoly, x):
+    """Exact value at an int or Fraction, normalised once at the end."""
+    v = eval_hom(p, x.numerator, x.denominator)
+    return v if x.denominator == 1 else Fraction(v, x.denominator ** max(degree(p), 0))
+
+
+def _interval_hom(p: IntPoly, lo: int, hi: int, den: int) -> tuple:
+    """Integer interval Horner: den**deg(p) times the bounds for p on [lo/den, hi/den]."""
+    alo = ahi = p[-1]
+    dk = 1
+    for c in reversed(p[:-1]):
+        dk *= den
+        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        cd = c * dk
+        alo, ahi = min(cands) + cd, max(cands) + cd
+    return alo, ahi
+
+
+def common_den(lo: Fraction, hi: Fraction) -> tuple:
+    """(lo * den, hi * den, den) as ints, den the lcm of the denominators."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
 def eval_interval(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple:
     """Exact interval Horner: bounds for {p(x) : lo <= x <= hi}."""
-    alo, ahi = Fraction(0), Fraction(0)
-    for c in reversed(p):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+    if not p:
+        return Fraction(0), Fraction(0)
+    lo, hi = Fraction(lo), Fraction(hi)
+    ilo, ihi, den = common_den(lo, hi)
+    alo, ahi = _interval_hom(p, ilo, ihi, den)
+    scale = den ** degree(p)
+    return Fraction(alo, scale), Fraction(ahi, scale)
+
+
+def _outward(lo: Fraction, hi: Fraction, k: int) -> tuple:
+    """[lo, hi] rounded outward to multiples of 2**-k, as (lo', hi', 2**k)."""
+    return (lo.numerator << k) // lo.denominator, -((-hi.numerator << k) // hi.denominator), 1 << k
+
+
+# bits of the outward-rounded endpoints tried before the exact ones
+SIGN_LADDER = (64, 128, 256)
+
+
+def interval_sign(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
+    """Sign of p on [lo, hi] certified by interval Horner; 0 if undecided.
+
+    Endpoints are rounded outward to 2**-k for each k of SIGN_LADDER, then
+    taken exactly; a wider interval only widens the bounds, so any sign it
+    certifies holds on [lo, hi].  The last rung is exactly eval_interval.
+    """
+    if not p:
+        return 0
+    lo, hi = Fraction(lo), Fraction(hi)
+    for ilo, ihi, den in [*(_outward(lo, hi, k) for k in SIGN_LADDER), common_den(lo, hi)]:
+        alo, ahi = _interval_hom(p, ilo, ihi, den)
+        if alo > 0:
+            return 1
+        if ahi < 0:
+            return -1
+    return 0
 
 
 def content(p: IntPoly) -> int:
@@ -307,7 +367,9 @@ def primitive_signed(p: IntPoly) -> IntPoly:
 
 
 def chain_variations_at(chain: Sequence[IntPoly], x) -> int:
-    return sign_variations([eval_at(f, x) for f in chain])
+    """Sign variations of the chain at the int or Fraction x."""
+    num, den = x.numerator, x.denominator
+    return sign_variations([eval_hom(f, num, den) for f in chain])
 
 
 @lru_cache(maxsize=4096)

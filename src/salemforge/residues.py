@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import polys
 from .algebraic import AlgebraicReal, isolate_largest_real_root, refine, refine_clear_of
-from .errors import ModulusMismatch, NotInvertible
+from .errors import ModulusMismatch, NotInvertible, NotIsolating
 
 
 class ResidueContext:
@@ -238,19 +238,18 @@ def residue_reduce(coeffs, modulus, root: AlgebraicReal | None = None) -> Residu
 def residue_is_zero(e: ResidueElement) -> bool:
     """True iff the representative vanishes at the distinguished root.
 
-    Zero verdicts are certified by gcd + Sturm; nonzero verdicts by exact
-    interval evaluation or a trivial gcd.
+    Zero verdicts are certified by gcd + Sturm; nonzero verdicts by
+    certified interval signs or a trivial gcd.
     """
     if e.is_zero_poly:
         return True
     ctx = e.context
-    # fast nonzero path: exact interval arithmetic excluding 0
+    # fast nonzero path: certified interval signs excluding 0
     root = ctx.root
     for _ in range(3):
         if root.is_exact:
             return polys.eval_at(e.num, root.exact_value) == 0
-        lo, hi = polys.eval_interval(e.num, root.interval.lo, root.interval.hi)
-        if lo > 0 or hi < 0:
+        if polys.interval_sign(e.num, root.interval.lo, root.interval.hi):
             ctx.root = root
             return False
         root = refine(root, root.interval.width / 2**20)
@@ -274,13 +273,10 @@ def residue_sign(e: ResidueElement) -> int:
         if root.is_exact:
             v = polys.eval_at(e.num, root.exact_value)
             return (v > 0) - (v < 0)
-        lo, hi = polys.eval_interval(e.num, root.interval.lo, root.interval.hi)
-        if lo > 0:
+        s = polys.interval_sign(e.num, root.interval.lo, root.interval.hi)
+        if s:
             ctx.root = root
-            return 1
-        if hi < 0:
-            ctx.root = root
-            return -1
+            return s
         root = refine(root, root.interval.width / 2**10)
 
 
@@ -309,7 +305,8 @@ def reduced_modulus_context(p, denominators) -> ResidueContext:
         # modulus (its endpoints cannot be roots, as roots of m are roots of p)
         sf = polys.square_free_part(m)
         root = AlgebraicReal(sf, root.interval)
-        assert polys.sturm_count(sf, root.interval.lo, root.interval.hi) == 1
+        if polys.sturm_count(sf, root.interval.lo, root.interval.hi) != 1:
+            raise NotIsolating("the reduced modulus lost its root in the isolating interval")
     return ResidueContext(m, root)
 
 

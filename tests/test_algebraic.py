@@ -21,10 +21,11 @@ from salemforge.algebraic import (
     compare,
     compare_with_rational,
     isolate_largest_real_root,
+    _split_point,
     refine,
     refine_clear_of,
 )
-from salemforge.errors import NoRealRoot
+from salemforge.errors import NoRealRoot, NoSplitPoint, NotIsolating
 
 
 def sqrt_fraction(n: int, digits: int) -> Fraction:
@@ -85,6 +86,19 @@ def test_refine_idempotent_root():
 def test_refine_exact_noop():
     a = AlgebraicReal.from_rational(5)
     assert refine(a, Fraction(1, 10**9)) is a
+
+
+def test_split_point_exhausted_is_typed():
+    # the zero polynomial vanishes at every candidate point
+    with pytest.raises(NoSplitPoint):
+        _split_point(Fraction(0), Fraction(1), ((),))
+
+
+def test_refine_rejects_non_isolating_interval():
+    # both roots of X^2-3X-1 lie in [-1, 4]: equal endpoint signs
+    wide = AlgebraicReal(GOLDEN, RationalInterval(Fraction(-1), Fraction(4)))
+    with pytest.raises(NotIsolating):
+        refine(wide, Fraction(1, 10))
 
 
 def test_compare_reflexive_and_with_rational():

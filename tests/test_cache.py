@@ -3,6 +3,7 @@
 import json
 import warnings
 
+from salemforge import polys
 from salemforge.cache import SpectrumStore, _FileLock, default_store
 from salemforge.spectrum import SpectrumKey, classify_entry, dynamical_degree
 from fractions import Fraction
@@ -84,6 +85,23 @@ def test_interval_revalidated_on_read(tmp_path):
         entries = store.entries()
     assert len(entries) == 1
     assert caught
+
+
+def test_non_square_free_polynomial_rejected_on_read(tmp_path):
+    # p**2 has one distinct root in the interval, but not a simple one
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (2,)))
+    record = json.loads(path.read_text().splitlines()[0])
+    poly = [int(c) for c in record["poly"]]
+    record["poly"] = [str(c) for c in polys.mul(poly, poly)]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entries = store.entries()
+    assert len(entries) == 1
+    assert any("square-free" in str(w.message) for w in caught)
 
 
 def test_lock_file_lifecycle(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salemforge import polys
-from salemforge.errors import ModulusMismatch, NotInvertible
+from salemforge.errors import ModulusMismatch, NotInvertible, NotIsolating
 from salemforge.residues import (
     ResidueContext,
     reduced_modulus_context,
@@ -133,6 +133,18 @@ def test_reduced_modulus_context_rejects_vanishing_denominator():
     m = polys.mul(GOLDEN, (-7, 1))  # largest root 7
     with pytest.raises(NotInvertible):
         reduced_modulus_context(m, [(-7, 1)])
+
+
+def test_reduced_modulus_context_rejects_lost_isolation(monkeypatch):
+    # an interval holding both real roots of X^2-3X-1 must be refused with a
+    # typed error, which `python -O` cannot strip
+    from salemforge import residues
+    from salemforge.algebraic import AlgebraicReal, RationalInterval
+
+    wide = AlgebraicReal(GOLDEN, RationalInterval(Fraction(-1), Fraction(4)))
+    monkeypatch.setattr(residues, "isolate_largest_real_root", lambda p: wide)
+    with pytest.raises(NotIsolating):
+        reduced_modulus_context(polys.mul(GOLDEN, (-1, 1)), [(-1, 1)])
 
 
 def test_zero_product_on_irreducible_context(ctx):
