@@ -121,11 +121,6 @@ def isolate_largest_real_root(p, width=None) -> AlgebraicReal:
     return refine(a, width) if width is not None else a
 
 
-def _sign_at(p, num: int, den: int) -> int:
-    v = polys.eval_hom(p, num, den)
-    return (v > 0) - (v < 0)
-
-
 def refine(a: AlgebraicReal, width, extra_avoid=()) -> AlgebraicReal:
     """Same root, interval width at most `width`.
 
@@ -142,18 +137,18 @@ def refine(a: AlgebraicReal, width, extra_avoid=()) -> AlgebraicReal:
     f = a.defining
     # endpoints as lo/den and hi/den over one integer denominator
     lo, hi, den = polys.common_den(a.interval.lo, a.interval.hi)
-    s_lo = _sign_at(f, lo, den)
-    if s_lo == 0 or s_lo == _sign_at(f, hi, den):
+    s_lo = polys.sign(polys.eval_hom(f, lo, den))
+    if s_lo == 0 or s_lo == polys.sign(polys.eval_hom(f, hi, den)):
         raise NotIsolating(f"{a.interval} does not isolate a simple root of {polys.poly_to_string(f)}")
     while (hi - lo) * width.denominator > width.numerator * den:
         m, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
-        s_m = _sign_at(f, m, den)
+        s_m = polys.sign(polys.eval_hom(f, m, den))
         if s_m == 0 or any(polys.eval_hom(g, m, den) == 0 for g in extra_avoid):
             x = _split_point(Fraction(lo, den), Fraction(hi, den), (f, *extra_avoid))
             scale = x.denominator // math.gcd(den, x.denominator)
             lo, hi, den = lo * scale, hi * scale, den * scale
             m = x.numerator * (den // x.denominator)
-            s_m = _sign_at(f, m, den)
+            s_m = polys.sign(polys.eval_hom(f, m, den))
         if s_m != s_lo:
             hi = m
         else:

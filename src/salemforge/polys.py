@@ -135,9 +135,15 @@ def eval_hom(p: IntPoly, num: int, den: int) -> int:
 
 
 def eval_at(p: IntPoly, x):
-    """Exact value at an int or Fraction, normalised once at the end."""
-    v = eval_hom(p, x.numerator, x.denominator)
-    return v if x.denominator == 1 else Fraction(v, x.denominator ** max(degree(p), 0))
+    """Exact value at x: an int at an int, else a Fraction.
+
+    Any other number is taken exactly as Fraction(x); the value is
+    normalised once at the end, not at each coefficient.
+    """
+    if isinstance(x, int):
+        return eval_hom(p, x, 1)
+    x = Fraction(x)
+    return Fraction(eval_hom(p, x.numerator, x.denominator), x.denominator ** max(degree(p), 0))
 
 
 def _interval_hom(p: IntPoly, lo: int, hi: int, den: int) -> tuple:
@@ -174,27 +180,23 @@ def _outward(lo: Fraction, hi: Fraction, k: int) -> tuple:
     return (lo.numerator << k) // lo.denominator, -((-hi.numerator << k) // hi.denominator), 1 << k
 
 
-# bits of the outward-rounded endpoints tried before the exact ones
-SIGN_LADDER = (64, 128, 256)
-
-
 def interval_sign(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     """Sign of p on [lo, hi] certified by interval Horner; 0 if undecided.
 
-    Endpoints are rounded outward to 2**-k for each k of SIGN_LADDER, then
-    taken exactly; a wider interval only widens the bounds, so any sign it
-    certifies holds on [lo, hi].  The last rung is exactly eval_interval.
+    The endpoints are first rounded outward to 2**-64, which keeps the
+    integers short; a wider interval only widens the bounds, so a sign it
+    certifies holds on [lo, hi].  Only if that is undecided are the exact
+    endpoints tried, which decides exactly as eval_interval does.
     """
     if not p:
         return 0
     lo, hi = Fraction(lo), Fraction(hi)
-    for ilo, ihi, den in [*(_outward(lo, hi, k) for k in SIGN_LADDER), common_den(lo, hi)]:
-        alo, ahi = _interval_hom(p, ilo, ihi, den)
-        if alo > 0:
-            return 1
-        if ahi < 0:
-            return -1
-    return 0
+    return _bounds_sign(p, *_outward(lo, hi, 64)) or _bounds_sign(p, *common_den(lo, hi))
+
+
+def _bounds_sign(p: IntPoly, lo: int, hi: int, den: int) -> int:
+    alo, ahi = _interval_hom(p, lo, hi, den)
+    return 1 if alo > 0 else -1 if ahi < 0 else 0
 
 
 def content(p: IntPoly) -> int:
@@ -325,13 +327,14 @@ def cauchy_bound(p: IntPoly) -> Fraction:
     return 1 + Fraction(rest, abs(p[-1]))
 
 
-def _sign(x) -> int:
+def sign(x) -> int:
+    """-1, 0 or 1 as x is negative, zero or positive."""
     return (x > 0) - (x < 0)
 
 
 def sign_variations(values: Sequence) -> int:
     """Sign changes in a sequence, zeros skipped."""
-    signs = [_sign(v) for v in values if v != 0]
+    signs = [sign(v) for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -352,7 +355,7 @@ def signed_remainder_chain(f0: IntPoly, f1: IntPoly) -> tuple:
         # prem = lc(b)**k * rem with k = deg a - deg b + 1; fix the sign so
         # the stored member is a positive multiple of -rem.
         k = degree(a) - degree(b) + 1
-        s = _sign(b[-1]) ** k
+        s = sign(b[-1]) ** k
         r = tuple(-s * c for c in r)
         chain.append(primitive_signed(r))
     return tuple(c for c in chain if c)

@@ -271,8 +271,7 @@ def residue_sign(e: ResidueElement) -> int:
     root = ctx.root
     while True:
         if root.is_exact:
-            v = polys.eval_at(e.num, root.exact_value)
-            return (v > 0) - (v < 0)
+            return polys.sign(polys.eval_at(e.num, root.exact_value))
         s = polys.interval_sign(e.num, root.interval.lo, root.interval.hi)
         if s:
             ctx.root = root

@@ -108,6 +108,15 @@ def test_eval_at_int_matches_oracle(p, x):
     assert polys.eval_at(p, x) == oracle_eval(p, x)
 
 
+def test_eval_at_result_types():
+    p = (1, -3, 2)  # 2X^2 - 3X + 1
+    assert type(polys.eval_at(p, 2)) is int and polys.eval_at(p, 2) == 3
+    assert type(polys.eval_at(p, Fraction(2))) is Fraction and polys.eval_at(p, Fraction(2)) == 3
+    assert polys.eval_at(p, Fraction(1, 3)) == Fraction(2, 9)
+    # a float is taken exactly, as Fraction(0.25)
+    assert polys.eval_at(p, 0.25) == Fraction(3, 8)
+
+
 @given(polys_small, st.one_of(rationals, small_rationals, st.integers(-20, 20)))
 @settings(max_examples=150, deadline=None)
 def test_chain_variations_match_oracle(p, x):
@@ -151,11 +160,12 @@ def test_interval_sign_sound_and_complete(p, a, b):
     st.integers(-60, 60),
     st.integers(1, 60),
     st.integers(66, 400),
-    st.integers(66, 400),
+    st.integers(0, 400),
 )
 @settings(max_examples=120, deadline=None)
 def test_interval_sign_undecided_across_a_root(q, n, d, k1, k2):
-    # p vanishes at r inside a deep, non-dyadic interval: no rung may decide
+    # p vanishes at r inside [lo, hi], within 2^-66 of lo: no rung may
+    # decide, and rounding lo inward to 2^-64 would step past r
     r = Fraction(n, d)
     p = polys.mul((-n, d), q or (1,))
     lo, hi = r - Fraction(1, 3 * 2**k1), r + Fraction(1, 5 * 2**k2)
@@ -169,6 +179,16 @@ def test_interval_sign_decided_by_coarse_rung_on_deep_interval():
     assert polys.interval_sign((-3, 1), lo, hi) == 1
     assert polys.interval_sign((3, -1), lo, hi) == -1
     assert polys.interval_sign((-10, 1), lo, hi) == 0
+
+
+def test_interval_sign_exact_rung_decides_what_64_bits_cannot():
+    # 3X - 1 on [1/3 + 2^-100, 1/3 + 2^-99]: rounded outward to 2^-64 the
+    # interval contains the root 1/3, so only the exact endpoints decide
+    p = (-1, 3)
+    lo, hi = Fraction(1, 3) + Fraction(1, 2**100), Fraction(1, 3) + Fraction(1, 2**99)
+    assert polys._bounds_sign(p, *polys._outward(lo, hi, 64)) == 0
+    assert polys.interval_sign(p, lo, hi) == 1
+    assert polys.interval_sign(polys.neg(p), lo, hi) == -1
 
 
 # -- refinement ------------------------------------------------------------------
