@@ -56,7 +56,8 @@ def auxiliary_polynomial(o: OrbitData) -> tuple:
     for i in range(len(blocks)):
         others = polys.mul_many([b for j, b in enumerate(blocks) if j != i])
         out = polys.add(out, polys.shift(others, 1))
-    assert polys.degree(out) == 2 + sum(o.tuple)
+    if polys.degree(out) != 2 + sum(o.tuple):
+        raise StructureViolation(f"auxiliary polynomial of {o} has degree {polys.degree(out)}")
     return out
 
 
@@ -111,7 +112,9 @@ def jonquieres_matrix(o: OrbitData) -> tuple:
 
 
 def intersection_form(n: int) -> tuple:
-    assert n >= 1
+    """diag(1, -1, ..., -1), the form of the lattice Z^{1,n-1}."""
+    if n < 1:
+        raise ValueError(f"intersection form needs size n >= 1, got {n}")
     return tuple(
         tuple((1 if i == 0 else -1) if i == j else 0 for j in range(n)) for i in range(n)
     )

@@ -1,23 +1,21 @@
 """Square integer matrices as tuples of row tuples, with exact kernels.
 
-Determinants use fraction-free Bareiss elimination; characteristic
-polynomials come from Bareiss determinants of k*I - M at integer nodes,
-re-assembled by exact Lagrange interpolation (the result is asserted to be
-integral and monic-signed as det(X*I - M) demands).
+Products walk the nonzero entries of each row of the left factor, which
+suits the sparse lattice maps and generators.  Determinants use
+fraction-free Bareiss elimination.  Characteristic polynomials use the
+division-free Berkowitz recurrence over sparse rows, so every kernel stays
+in integer ring arithmetic.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-from . import polys
 
 Matrix = tuple  # tuple[tuple[int, ...], ...]
 
 
 def from_rows(rows) -> Matrix:
     m = tuple(tuple(int(c) for c in row) for row in rows)
-    assert all(len(r) == len(m) for r in m), "matrix must be square"
+    if any(len(r) != len(m) for r in m):
+        raise ValueError("matrix must be square")
     return m
 
 
@@ -38,10 +36,17 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """Product a*b, summing the rows of b picked by the nonzeros of each row of a."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -83,42 +88,36 @@ def det(m: Matrix) -> int:
 
 
 def char_poly(m: Matrix) -> tuple:
-    """Exact characteristic polynomial det(X*I - M), ascending coefficients."""
+    """Exact characteristic polynomial det(X*I - M), ascending coefficients.
+
+    Berkowitz recurrence: with A the leading r x r block, R = M[r][:r] and
+    S = M[:r][r], the characteristic polynomial of the leading r+1 block is
+    that of A convolved with the Toeplitz column
+    (1, -M[r][r], -R S, -R A S, ..., -R A^(r-1) S).  Only integer additions
+    and multiplications occur, so the result is integral and monic of
+    degree n by construction.
+    """
     n = len(m)
-    if n == 0:
-        return polys.ONE
-    values = []
-    for k in range(n + 1):
-        shifted = tuple(
-            tuple((k if i == j else 0) - m[i][j] for j in range(n)) for i in range(n)
-        )
-        values.append(det(shifted))
-    coeffs = _lagrange_integer(list(range(n + 1)), values)
-    assert coeffs[-1] == 1 and len(coeffs) == n + 1, "char poly must be monic"
-    return coeffs
-
-
-def _lagrange_integer(xs, ys) -> tuple:
-    """Interpolate integer samples exactly; result must be integral."""
-    acc = [Fraction(0)] * len(xs)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            # basis *= (X - xj)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for t, c in enumerate(basis):
-                nxt[t] -= c * xj
-                nxt[t + 1] += c
-            basis = nxt
-            denom *= xi - xj
-        w = Fraction(yi) / denom
-        for t, c in enumerate(basis):
-            acc[t] += w * c
-    assert all(c.denominator == 1 for c in acc)
-    return polys.normalize(int(c) for c in acc)
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in m]
+    desc = [1]  # char poly of the leading r x r block, leading coefficient first
+    for r in range(n):
+        block = [[(j, c) for j, c in rows[i] if j < r] for i in range(r)]
+        s = [(i, m[i][r]) for i in range(r) if m[i][r]]
+        w = list(m[r][:r])  # R A^k
+        toeplitz = [1, -m[r][r]]
+        for k in range(r):
+            if k:
+                nxt = [0] * r
+                for i, x in enumerate(w):
+                    if x:
+                        for j, c in block[i]:
+                            nxt[j] += x * c
+                w = nxt
+            toeplitz.append(-sum(w[i] * c for i, c in s))
+        desc = [
+            sum(toeplitz[i - j] * desc[j] for j in range(min(i, r) + 1)) for i in range(r + 2)
+        ]
+    return tuple(reversed(desc))
 
 
 def is_permutation_matrix(m: Matrix) -> bool:
@@ -131,7 +130,8 @@ def is_permutation_matrix(m: Matrix) -> bool:
 
 def permutation_matrix(perm, n: int) -> Matrix:
     """Matrix sending basis vector j to basis vector perm[j]."""
-    assert sorted(perm) == list(range(n))
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of 0..{n - 1}")
     return tuple(tuple(1 if perm[j] == i else 0 for j in range(n)) for i in range(n))
 
 

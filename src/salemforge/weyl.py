@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import matrices
 from .errors import IndexClash, InvalidRoot, NotAnIsometry
+from .jonquieres import intersection_form
 
 
 @dataclass(frozen=True)
@@ -67,18 +68,12 @@ class NotReduced:
     reason: str
 
 
-def quadratic_form(n: int) -> tuple:
-    return tuple(
-        tuple((1 if i == 0 else -1) if i == j else 0 for j in range(n)) for i in range(n)
-    )
-
-
 def q_dot(x, y) -> int:
     return x[0] * y[0] - sum(a * b for a, b in zip(x[1:], y[1:]))
 
 
 def preserves_form(m: tuple) -> bool:
-    q = quadratic_form(len(m))
+    q = intersection_form(len(m))
     return matrices.mat_mul(matrices.mat_mul(m, q), matrices.transpose(m)) == q
 
 

@@ -1,8 +1,11 @@
 """Byte-identity of CLI output: SHA-256 of stdout, pinned.
 
-The digests were taken from the Fraction-arithmetic implementation that the
-integer evaluation core replaced; interval endpoints are part of every
-payload, so the refinement path is pinned along with the verdicts.
+The `realize`, `lambda` and `classify` digests were taken from the
+Fraction-arithmetic implementation that the integer evaluation core
+replaced; interval endpoints are part of every payload, so the refinement
+path is pinned along with the verdicts.  The `charpoly`, `weyl` and
+`matrix` digests were taken from the Bareiss-interpolation `char_poly` and
+the dense `mat_mul` that the sparse Berkowitz kernels replaced.
 """
 
 import hashlib
@@ -15,6 +18,10 @@ from salemforge.cli import main
 
 REALIZE_D4 = ("realize", "--d", "4", "--tuple", "2,3,4,5,6,7")
 REALIZE_D4_SHA = "bfbfb332fc193fb251361cb7dd583c35f07a63e98977ff659e2d99f531f3ddaf"
+CHARPOLY_D5 = ("charpoly", "--d", "5", "--tuple", "2,3,4,5,6,7,8,9")
+CHARPOLY_D5_SHA = "5d1fcfd6b237e1c86a339c310a737936a40a4a92bc3b439ad78a0dcd69f5c62e"
+WEYL_D4 = ("weyl", "--d", "4", "--tuple", "2,3,4,5,6,7")
+WEYL_D4_SHA = "4b7f9dade7c43dbffa90b3ed1982268fa9e564c1c8c8d902c18c9978b42de725"
 
 GOLDEN = [
     (REALIZE_D4, REALIZE_D4_SHA),
@@ -39,7 +46,23 @@ GOLDEN = [
     (("classify", "--d", "5", "--tuple", ""), "d506d577efb28cb0b7dd3aab0d2ad8f8d946123caee62b556e4e92fe46521fd8"),
     (("classify", "--d", "5", "--tuple", "2,3"), "e0a9b1422a8e63d833b76f4895a5993e6a76df87a1ce4a7f399b9edba62070c4"),
     (("classify", "--d", "5", "--tuple", "3,3,3"), "c8084a972f96291a33ffe0dc756a62c96a3a5dbfdfb028f9eea104470f9a5fe2"),
+    (
+        ("charpoly", "--d", "4", "--tuple", "2,3,4,5,6,7"),
+        "4c6537c32f0dc8914344d8269b4ca5d06eb06bfc91e7186f1a6c35ca7ddc82aa",
+    ),
+    (CHARPOLY_D5, CHARPOLY_D5_SHA),
+    (("charpoly", "--d", "5", "--tuple", "4,4,4,4"), "6fe93f8118dd6fe95a37913ff84e8707a053e11464a2959301c16584ae53ce84"),
+    (WEYL_D4, WEYL_D4_SHA),
+    (
+        ("weyl", "--d", "5", "--tuple", "2,3,4,5,6,7,8,9"),
+        "b4d36a98a6a763d59908df705e1f7a3ec8a2758667a0e884aa81434e8d74bf7e",
+    ),
+    (
+        ("matrix", "--d", "5", "--tuple", "2,3,4,5,6,7,8,9"),
+        "218e68339c9da7d96e4553b07a1845d568ffcfe37c8b472bad6c100cfd4a285e",
+    ),
 ]
+MATRIX_PATHS = [(CHARPOLY_D5, CHARPOLY_D5_SHA), (WEYL_D4, WEYL_D4_SHA)]
 
 
 def sha256(text: str) -> str:
@@ -53,13 +76,22 @@ def test_cli_output_pinned(capsys, monkeypatch, argv, digest):
     assert sha256(capsys.readouterr().out) == digest
 
 
-def test_realize_under_optimize_flag():
+def run_optimized(argv, digest):
     # with asserts stripped the verdict path must still produce the same bytes
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "salemforge.cli", *REALIZE_D4],
+        [sys.executable, "-O", "-m", "salemforge.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert sha256(proc.stdout) == REALIZE_D4_SHA
+    assert sha256(proc.stdout) == digest
+
+
+def test_realize_under_optimize_flag():
+    run_optimized(REALIZE_D4, REALIZE_D4_SHA)
+
+
+@pytest.mark.parametrize("argv,digest", MATRIX_PATHS, ids=[a[0] for a, _ in MATRIX_PATHS])
+def test_matrix_paths_under_optimize_flag(argv, digest):
+    run_optimized(argv, digest)

@@ -1,8 +1,8 @@
 """Matrix and polynomial constructions for orbit data.
 
 The characteristic-polynomial oracle here is a naive cofactor-expansion
-determinant over the polynomial ring, fully independent of the Bareiss
-interpolation used by the library.
+determinant over the polynomial ring, fully independent of the Berkowitz
+recurrence used by the library.
 """
 
 import itertools
@@ -11,7 +11,7 @@ import random
 import pytest
 
 from salemforge import matrices, polys
-from salemforge.errors import InvalidOrbitData
+from salemforge.errors import InvalidOrbitData, StructureViolation
 from salemforge.jonquieres import (
     OrbitData,
     auxiliary_polynomial,
@@ -116,6 +116,18 @@ def test_intersection_form():
     q3 = intersection_form(3)
     assert matrices.mat_mul(q3, q3) == matrices.identity(3)
     assert matrices.char_poly(q3) == polys.mul((-1, 1), polys.pow_int((1, 1), 2))
+
+
+def test_intersection_form_rejects_empty_size():
+    with pytest.raises(ValueError):
+        intersection_form(0)
+
+
+def test_auxiliary_polynomial_degree_check_raises(monkeypatch):
+    # a block factor of the wrong degree must not pass silently, even under -O
+    monkeypatch.setattr(polys, "binomial_xn_plus_1", lambda n: (1, 1))
+    with pytest.raises(StructureViolation):
+        auxiliary_polynomial(OrbitData(4, (2, 3)))
 
 
 def test_char_poly_basics():
