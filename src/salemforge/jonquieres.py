@@ -135,20 +135,9 @@ def defect_matrix(o: OrbitData) -> tuple:
 @dataclass(frozen=True)
 class StructureReport:
     orbit: OrbitData
-    char_matches: bool
-    intersection_matches: bool
     canonical_row: tuple
     canonical_row_fixed: bool
     defect_scale: int
-
-    @property
-    def all_pass(self) -> bool:
-        expected_fixed = self.defect_scale == 0
-        return (
-            self.char_matches
-            and self.intersection_matches
-            and self.canonical_row_fixed == expected_fixed
-        )
 
 
 def verify_structure(o: OrbitData) -> StructureReport:
@@ -176,11 +165,10 @@ def verify_structure(o: OrbitData) -> StructureReport:
     fixed = row == canonical
 
     c = 2 * o.d - 1 - o.m
-    report = StructureReport(o, char_ok, defect_ok, row, fixed, c)
     if not char_ok:
         raise StructureViolation(f"char(J) != (X-1)*p for {o}")
     if not defect_ok:
         raise StructureViolation(f"J Q J^T - Q != H for {o}")
     if fixed != (c == 0):
         raise StructureViolation(f"canonical row fixed <=> m = 2d-1 failed for {o}")
-    return report
+    return StructureReport(o, row, fixed, c)

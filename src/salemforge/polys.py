@@ -219,39 +219,65 @@ def primitive(p: IntPoly) -> IntPoly:
     return tuple(c // g for c in p)
 
 
-def monic_divmod(p: IntPoly, m: IntPoly) -> tuple:
-    """Integer quotient/remainder of p by a monic integer polynomial m."""
-    assert is_monic(m), "divisor must be monic"
+def _int_divmod(p: IntPoly, d: IntPoly) -> tuple:
+    """Quotient and remainder of p by d in Z[X], by integer long division.
+
+    Each quotient coefficient is an exact integer division by lc(d); raises
+    ValueError when one leaves a remainder, as p/d then has no integral
+    quotient.
+    """
+    dd, lead = degree(d), d[-1]
     r = list(p)
-    dm = degree(m)
-    q = [0] * max(len(p) - dm, 0)
-    for k in range(len(r) - 1 - dm, -1, -1):
-        c = r[k + dm]
+    q = [0] * (len(p) - dd)
+    for k in range(len(r) - 1 - dd, -1, -1):
+        c, rem = divmod(r[k + dd], lead)
+        if rem:
+            raise ValueError("quotient is not integral")
         if c:
             q[k] = c
-            for i, mc in enumerate(m):
-                r[k + i] -= c * mc
-    return normalize(q), normalize(r[:dm])
+            for i, dc in enumerate(d):
+                r[k + i] -= c * dc
+    return normalize(q), normalize(r[:dd])
 
 
-def _pseudo_rem(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Pseudo-remainder: exactly lc(q)**(deg p - deg q + 1) * (p mod q)."""
-    dp, dq = degree(p), degree(q)
-    assert dp >= dq >= 0
-    l = q[-1]
-    n = dp - dq + 1
-    r = p
-    while r and degree(r) >= dq:
-        c = r[-1]
-        k = degree(r) - dq
-        n -= 1
-        scaled = [x * l for x in r]
-        for i, qc in enumerate(q):
-            scaled[k + i] -= c * qc
-        r = normalize(scaled)
-    if n > 0 and r:
-        r = tuple(c * l ** n for c in r)
-    return r
+def monic_divmod(p: IntPoly, m: IntPoly) -> tuple:
+    """Integer quotient/remainder of p by a monic integer polynomial m."""
+    if not is_monic(m):
+        raise ValueError("divisor must be monic")
+    return _int_divmod(p, m)
+
+
+def divexact(p: IntPoly, d: IntPoly) -> IntPoly:
+    """Exact quotient p/d; ValueError unless d divides p in Z[X].
+
+    By Gauss's lemma the quotient is integral whenever d is primitive and
+    divides p over Q, which is how gcd-derived divisors are used here.
+    """
+    q, r = _int_divmod(p, d)
+    if r:
+        raise ValueError("division was not exact")
+    return q
+
+
+def pseudo_divmod(p: IntPoly, q: IntPoly) -> tuple:
+    """Pseudo-division: (Q, R) with l**e * p == Q*q + R and deg R < deg q.
+
+    l = lc(q) and e = max(deg p - deg q + 1, 0).  Knuth, TAOCP vol. 2,
+    4.6.1, Algorithm R: each step scales the remainder by l, so the quotient
+    coefficient found at X**k gains the factor l**k.
+    """
+    dq, l = degree(q), q[-1]
+    s = degree(p) - dq
+    r = list(p)
+    quo = [0] * (s + 1)
+    for k in range(s, -1, -1):
+        c = r.pop()
+        quo[k] = c * l**k
+        r = [x * l for x in r]
+        if c:
+            for i in range(dq):
+                r[k + i] -= c * q[i]
+    return normalize(quo), normalize(r)
 
 
 def gcd(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -264,28 +290,37 @@ def gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     if degree(a) < degree(b):
         a, b = b, a
     while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, primitive(r)
+        a, b = b, primitive(pseudo_divmod(a, b)[1])
     return primitive(a)
 
 
-def divexact(p: IntPoly, d: IntPoly) -> IntPoly:
-    """Exact division p/d for integer polynomials with d | p over Q."""
-    if not p:
-        return ZERO
-    num = [Fraction(c) for c in p]
-    dd = degree(d)
-    lead = Fraction(d[-1])
-    q = [Fraction(0)] * (len(p) - dd)
-    for k in range(len(num) - 1 - dd, -1, -1):
-        c = num[k + dd] / lead
-        q[k] = c
-        if c:
-            for i, dc in enumerate(d):
-                num[k + i] -= c * dc
-    assert all(x == 0 for x in num[:dd]), "division was not exact"
-    assert all(x.denominator == 1 for x in q), "quotient not integral"
-    return normalize(int(x) for x in q)
+def inverse_mod(a: IntPoly, m: IntPoly):
+    """(u, den) with u*a == den (mod m) and den > 0; deg u < deg m if deg a < deg m.
+
+    None when gcd(a, m) is nonconstant.  Pseudo-division Euclid over Z[X]:
+    with primitive remainders r_i it keeps u_i*a == c_i*r_i (mod m) for
+    integer polynomials u_i and integers c_i, divided by their common
+    content at each step, until r_i is the constant 1.
+    """
+    if not a:
+        return None
+    u0, c0, r0 = ZERO, 1, primitive(m)
+    r1 = primitive(a)
+    u1, c1 = ONE, a[-1] // r1[-1]
+    while degree(r1) > 0:
+        e = max(degree(r0) - degree(r1) + 1, 0)
+        quo, rem = pseudo_divmod(r0, r1)
+        if not rem:
+            return None
+        r = primitive(rem)
+        u = sub(scale(u0, c1 * r1[-1] ** e), scale(mul(quo, u1), c0))
+        c = c0 * c1 * (rem[-1] // r[-1])
+        g = math.gcd(content(u), c)
+        u0, c0, r0 = u1, c1, r1
+        u1, c1, r1 = tuple(x // g for x in u), c // g, r
+    if c1 < 0:
+        return neg(u1), -c1
+    return u1, c1
 
 
 def square_free_part(p: IntPoly) -> IntPoly:
@@ -344,12 +379,12 @@ def signed_remainder_chain(f0: IntPoly, f1: IntPoly) -> tuple:
     Each member equals the classical negated-remainder chain member times a
     positive constant, so sign-variation counts are unchanged.
     """
-    if f0 and f1:
-        assert degree(f0) >= degree(f1)
+    if f0 and f1 and degree(f0) < degree(f1):
+        raise ValueError("the chain needs deg f0 >= deg f1")
     chain = [primitive_signed(f0), primitive_signed(f1)]
     while chain[-1] and degree(chain[-1]) > 0:
         a, b = chain[-2], chain[-1]
-        r = _pseudo_rem(a, b)
+        r = pseudo_divmod(a, b)[1]
         if not r:
             break
         # prem = lc(b)**k * rem with k = deg a - deg b + 1; fix the sign so
@@ -414,12 +449,12 @@ def count_real_roots(p: IntPoly) -> int:
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("cyclotomic polynomials are indexed by n >= 1")
     num = normalize([-1] + [0] * (n - 1) + [1])  # X**n - 1
     for d in range(1, n):
         if n % d == 0:
-            num, rem = monic_divmod(num, cyclotomic(d))
-            assert not rem
+            num = divexact(num, cyclotomic(d))
     return num
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import polys
-from .errors import InvalidKey, ModulusMismatch
+from .errors import InvalidKey, ModulusMismatch, StructureViolation
 from .jonquieres import jonquieres_matrix
 from .residues import (
     ResidueContext,
@@ -115,7 +115,8 @@ def realization_points(key: SpectrumKey) -> RealizationPlan:
 
     Requires m = 2d-1 with pairwise distinct entries.  Every point is the
     eigenvector recipe (3v - b)/(a - 1) applied to its coordinate; the
-    closed forms for the individual orbits are asserted against it.
+    closed forms for the individual orbits are checked against it; a
+    mismatch raises StructureViolation.
     """
     if key.m != 2 * key.d - 1:
         raise InvalidKey(f"realization needs m = 2d-1, got m = {key.m} for d = {key.d}")
@@ -141,13 +142,16 @@ def realization_points(key: SpectrumKey) -> RealizationPlan:
         points[label] = CubicPoint((3 * coord - b) * inv_lam1)
 
     # closed forms from the construction
-    assert (points[(1, 0)].t - (2 - lam) * inv_lam1).is_zero_poly
-    assert (points[(1, 1)].t - (2 * lam - 1) * inv_lam1).is_zero_poly
+    if not (points[(1, 0)].t - (2 - lam) * inv_lam1).is_zero_poly:
+        raise StructureViolation(f"q(1,0) != (2-lambda)/(lambda-1) for {key}")
+    if not (points[(1, 1)].t - (2 * lam - 1) * inv_lam1).is_zero_poly:
+        raise StructureViolation(f"q(1,1) != (2lambda-1)/(lambda-1) for {key}")
     for i, n in enumerate(key.tuple, start=2):
         inv = (ctx.x_power(n) + 1).inverse()
         for jstep in range(n):
             explicit = (3 * ctx.x_power(jstep + 1) * inv - b) * inv_lam1
-            assert (points[(i, jstep)].t - explicit).is_zero_poly
+            if not (points[(i, jstep)].t - explicit).is_zero_poly:
+                raise StructureViolation(f"q({i},{jstep}) differs from its closed form for {key}")
     return RealizationPlan(key, ctx, a, b, points)
 
 

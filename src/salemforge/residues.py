@@ -146,7 +146,7 @@ class ResidueElement:
         return self * other.inverse()
 
     def inverse(self) -> "ResidueElement":
-        """Ring inverse via the extended Euclidean algorithm over Q[X].
+        """Ring inverse via the integer extended gcd `polys.inverse_mod`.
 
         Raises NotInvertible when the representative shares a factor with
         the modulus (the value at lambda may still be nonzero; the ring
@@ -154,14 +154,13 @@ class ResidueElement:
         """
         if not self.num:
             raise NotInvertible("zero has no inverse")
-        u = _ext_gcd_inverse(self.num, self.context.modulus)
+        u = polys.inverse_mod(self.num, self.context.modulus)
         if u is None:
             raise NotInvertible(
                 "representative shares a polynomial factor with the modulus"
             )
         ucoeffs, uden = u
-        inv = self.context._make(self.context._mod(ucoeffs), uden)
-        return inv * self.context.constant(self.den)
+        return self.context._make(polys.scale(ucoeffs, self.den), uden)
 
     def representative(self) -> list:
         """Rational coefficients of the reduced representative."""
@@ -173,57 +172,6 @@ class ResidueElement:
 
     def __repr__(self):
         return f"ResidueElement({polys.poly_to_string(self.num)})/{self.den}"
-
-
-def _ext_gcd_inverse(num, modulus):
-    """Bezout coefficient u with u*num = gcd (mod modulus), as (ints, den).
-
-    Returns None when gcd(num, modulus) is nonconstant.
-    """
-    r0 = [Fraction(c) for c in modulus]
-    r1 = [Fraction(c) for c in num]
-    u0, u1 = [Fraction(0)], [Fraction(1)]
-
-    def fdeg(f):
-        return len(f) - 1
-
-    def fnorm(f):
-        while f and f[-1] == 0:
-            f.pop()
-        return f
-
-    while fnorm(r1):
-        # divide r0 by r1
-        q = [Fraction(0)] * max(fdeg(r0) - fdeg(r1) + 1, 0)
-        r = list(r0)
-        d1 = fdeg(r1)
-        lead = r1[-1]
-        for k in range(len(r) - 1 - d1, -1, -1):
-            c = r[k + d1] / lead
-            q[k] = c
-            if c:
-                for i, rc in enumerate(r1):
-                    r[k + i] -= c * rc
-        r = fnorm(r[:d1])
-        # u_next = u0 - q*u1
-        qu = [Fraction(0)] * (len(q) + len(u1) - 1) if q and u1 else []
-        for i, a in enumerate(q):
-            if a:
-                for j, b in enumerate(u1):
-                    qu[i + j] += a * b
-        un = [Fraction(0)] * max(len(u0), len(qu))
-        for i, a in enumerate(u0):
-            un[i] += a
-        for i, a in enumerate(qu):
-            un[i] -= a
-        r0, r1 = [Fraction(c) for c in r1], r
-        u0, u1 = u1, fnorm(un) or [Fraction(0)]
-    if fdeg(fnorm(r0)) != 0:
-        return None
-    g = r0[0]
-    inv = [c / g for c in u0]
-    den = math.lcm(*(c.denominator for c in inv)) if inv else 1
-    return polys.normalize(int(c * den) for c in inv), den
 
 
 # -- module-level operations ----------------------------------------------

@@ -26,7 +26,7 @@ from .algebraic import (
     refine,
 )
 from .census import UnitCircleCensus, salem_pisot_label, unit_circle_census
-from .errors import BoundTooSmall, CensusContradiction, InvalidKey, ToleranceNotReached
+from .errors import BoundTooSmall, CensusContradiction, InvalidKey, StructureViolation, ToleranceNotReached
 from .jonquieres import OrbitData, auxiliary_polynomial
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
@@ -76,7 +76,8 @@ class SpectrumEntry:
 @lru_cache(maxsize=8192)
 def _dominant_root(key: SpectrumKey) -> AlgebraicReal:
     value = isolate_largest_real_root(auxiliary_polynomial(OrbitData(key.d, key.tuple)))
-    assert compare_with_rational(value, 2) == GREATER, "dominant root must exceed 2"
+    if compare_with_rational(value, 2) != GREATER:
+        raise StructureViolation(f"dominant root must exceed 2 for {key}")
     return value
 
 
@@ -155,8 +156,8 @@ def enumerate_level_prefix(
 ) -> list:
     """First `limit` members of the level-m set in lexicographic order.
 
-    Asserts that lexicographic order and exact value order agree along the
-    emitted prefix.  Raises BoundTooSmall when fewer than `limit` member
+    Raises StructureViolation unless lexicographic order and exact value
+    order agree along the emitted prefix, and BoundTooSmall when fewer than `limit` member
     tuples exist with entries <= bound.
     """
     if not 1 <= m <= 2 * d - 1:
@@ -172,7 +173,8 @@ def enumerate_level_prefix(
         )
     entries = [classify_entry(k) for k in keys]
     for a, b in zip(entries, entries[1:]):
-        assert compare(a.value, b.value) == LESS, "lex order disagrees with value order"
+        if compare(a.value, b.value) != LESS:
+            raise StructureViolation(f"lex order disagrees with value order at {a.key}, {b.key}")
     return entries
 
 
@@ -239,7 +241,8 @@ def verify_limit_convergence(d: int, prefix: tuple, first: int, last: int, toler
     if gap is None:
         raise ToleranceNotReached("gap bound did not stabilise", achieved=upper)
     report = LimitReport(d, tuple(prefix), first, last, increasing, gap, tolerance)
-    assert report.increasing, "monotone increase failed: construction bug"
+    if not report.increasing:
+        raise StructureViolation(f"monotone increase failed for d = {d}, prefix {prefix}")
     return report
 
 
@@ -256,10 +259,3 @@ def classify_entry(key: SpectrumKey) -> SpectrumEntry:
     label, _, _ = salem_pisot_label(poly, strip_bound)
     return SpectrumEntry(key, value, census, label)
 
-
-def cache_put(store, entry: SpectrumEntry) -> None:
-    store.put(entry)
-
-
-def cache_get(store, key: SpectrumKey):
-    return store.get(key)

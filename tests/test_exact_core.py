@@ -1,16 +1,19 @@
-"""Integer evaluation core against the Fraction algorithms it replaced.
+"""Integer evaluation and division core against the Fraction algorithms it replaced.
 
 The oracles below are the earlier Fraction implementations, kept verbatim
-in spirit: Horner with a gcd at every step, Fraction interval Horner, and
-bisection by full Sturm-chain variations at `_split_point` candidates.
-The integer core must reproduce their values, bounds and intervals
-exactly; `interval_sign` must be sound, and complete wherever the exact
-bounds decide.
+in spirit: Horner with a gcd at every step, Fraction interval Horner,
+bisection by full Sturm-chain variations at `_split_point` candidates,
+long division over Q, and the extended Euclidean algorithm over Q[X].
+The integer core must reproduce their values, bounds, intervals, quotients
+and inverses exactly; `interval_sign` must be sound, and complete wherever
+the exact bounds decide.
 """
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from salemforge import polys
@@ -73,6 +76,65 @@ def oracle_refine_clear_of(defining, lo, hi, g):
     while oracle_eval(g, lo) == 0 or oracle_eval(g, hi) == 0:
         lo, hi = oracle_refine(defining, lo, hi, (hi - lo) / 2, extra_avoid=(g,))
     return lo, hi
+
+
+def oracle_divexact(p, d):
+    """Long division over Q; the quotient must be integral."""
+    if not p:
+        return polys.ZERO
+    num = [Fraction(c) for c in p]
+    dd = polys.degree(d)
+    q = [Fraction(0)] * (len(p) - dd)
+    for k in range(len(num) - 1 - dd, -1, -1):
+        c = num[k + dd] / d[-1]
+        q[k] = c
+        if c:
+            for i, dc in enumerate(d):
+                num[k + i] -= c * dc
+    assert all(x == 0 for x in num[:dd]), "division was not exact"
+    assert all(x.denominator == 1 for x in q), "quotient not integral"
+    return polys.normalize(int(x) for x in q)
+
+
+def oracle_inverse(num, modulus):
+    """Extended Euclid over Q[X]: (ints, den) with ints/den the inverse of num, or None."""
+
+    def fnorm(f):
+        while f and f[-1] == 0:
+            f.pop()
+        return f
+
+    def fdivmod(a, b):
+        q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+        r = list(a)
+        db = len(b) - 1
+        for k in range(len(r) - 1 - db, -1, -1):
+            c = r[k + db] / b[-1]
+            q[k] = c
+            if c:
+                for i, bc in enumerate(b):
+                    r[k + i] -= c * bc
+        return q, fnorm(r[:db])
+
+    def fsub_mul(u0, q, u1):
+        out = [Fraction(0)] * max(len(u0), len(q) + len(u1) - 1)
+        for i, a in enumerate(u0):
+            out[i] += a
+        for i, a in enumerate(q):
+            for j, b in enumerate(u1):
+                out[i + j] -= a * b
+        return fnorm(out) or [Fraction(0)]
+
+    r0, r1 = [Fraction(c) for c in modulus], fnorm([Fraction(c) for c in num])
+    u0, u1 = [Fraction(0)], [Fraction(1)]
+    while r1:
+        q, r = fdivmod(r0, r1)
+        r0, r1, u0, u1 = r1, r, u1, fsub_mul(u0, q, u1)
+    if len(r0) != 1:
+        return None
+    inv = [c / r0[0] for c in u0]
+    den = math.lcm(*(c.denominator for c in inv))
+    return polys.normalize(int(c * den) for c in inv), den
 
 
 # -- strategies --------------------------------------------------------------
@@ -260,3 +322,128 @@ def test_refine_deep_matches_oracle_on_realization_key():
     lo, hi = oracle_refine(a.defining, a.interval.lo, a.interval.hi, width)
     b = refine(a, width)
     assert (b.interval.lo, b.interval.hi) == (lo, hi)
+
+
+# -- division -------------------------------------------------------------------
+
+nonzero_polys = polys_small.filter(bool)
+monic_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=6).map(lambda c: tuple(c) + (1,))
+
+
+@given(polys_small, nonzero_polys, st.integers(1, 6), st.sampled_from([1, -1]))
+@settings(max_examples=200, deadline=None)
+def test_divexact_matches_oracle(a, b, k, s):
+    # divisors with content k > 1 and either sign of leading coefficient
+    d = polys.scale(b, k * s)
+    p = polys.mul(a, d)
+    assert polys.divexact(p, d) == oracle_divexact(p, d) == a
+    g = polys.gcd(p, d)
+    assert polys.divexact(p, g) == oracle_divexact(p, g)
+
+
+@given(polys_small, monic_polys)
+@settings(max_examples=200, deadline=None)
+def test_monic_divmod_identity(p, m):
+    q, r = polys.monic_divmod(p, m)
+    assert polys.add(polys.mul(q, m), r) == p
+    assert polys.degree(r) < polys.degree(m)
+
+
+@given(polys_small, nonzero_polys)
+@settings(max_examples=200, deadline=None)
+def test_pseudo_divmod_identity(p, q):
+    quo, rem = polys.pseudo_divmod(p, q)
+    e = max(polys.degree(p) - polys.degree(q) + 1, 0)
+    assert polys.scale(p, q[-1] ** e) == polys.add(polys.mul(quo, q), rem)
+    assert polys.degree(rem) < polys.degree(q)
+
+
+def test_divexact_rejects_non_integral_quotient():
+    with pytest.raises(ValueError, match="not integral"):
+        polys.divexact((1, 1), (2, 2))
+
+
+def test_divexact_rejects_nonzero_remainder():
+    with pytest.raises(ValueError, match="not exact"):
+        polys.divexact((1, 0, 1), (1, 1))
+
+
+def test_monic_divmod_rejects_non_monic_divisor():
+    with pytest.raises(ValueError, match="monic"):
+        polys.monic_divmod((1, 0, 1), (1, 2))
+    with pytest.raises(ValueError, match="monic"):
+        polys.monic_divmod((1, 0, 1), (1, -1))
+
+
+# -- inverses --------------------------------------------------------------------
+
+
+def is_inverse(u, den, a, m):
+    return not polys.monic_divmod(polys.sub(polys.mul(u, a), (den,)), m)[1]
+
+
+@given(
+    monic_polys.filter(lambda m: polys.degree(m) >= 1),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    st.integers(1, 6),
+    st.sampled_from([1, -1]),
+)
+@settings(max_examples=250, deadline=None)
+def test_inverse_mod_matches_oracle(m, coeffs, k, s):
+    # representatives of degree 0 up to deg m - 1, with content k > 1 and
+    # either sign of leading coefficient
+    a = polys.scale(polys.normalize(coeffs[: polys.degree(m)]), k * s)
+    assume(a)
+    got = polys.inverse_mod(a, m)
+    assert got == oracle_inverse(a, m)
+    if got is not None:
+        u, den = got
+        assert den > 0 and polys.degree(u) < polys.degree(m)
+        assert math.gcd(polys.content(u), den) == 1
+        assert is_inverse(u, den, a, m)
+
+
+@given(
+    monic_polys.filter(lambda f: polys.degree(f) >= 1),
+    monic_polys.filter(lambda f: polys.degree(f) >= 1),
+    polys_small,
+    st.integers(1, 6),
+)
+@settings(max_examples=150, deadline=None)
+def test_inverse_mod_none_on_shared_factor(f, g, c, k):
+    # m = f*g: any multiple of f reduced mod m shares the factor f with m
+    m = polys.mul(f, g)
+    a = polys.monic_divmod(polys.scale(polys.mul(f, c or (1,)), k), m)[1]
+    assume(a)
+    assert polys.inverse_mod(a, m) is None
+    assert oracle_inverse(a, m) is None
+
+
+def test_inverse_mod_constants_and_units():
+    m = (-2, 0, 1)  # X^2 - 2
+    assert polys.inverse_mod((-3,), m) == ((-1,), 3)
+    assert polys.inverse_mod((0, 1), m) == ((0, 1), 2)  # 1/X = X/2
+    assert polys.inverse_mod((), m) is None
+
+
+@pytest.mark.parametrize("d, tup", [(4, (2, 3, 4, 5, 6, 7)), (5, (2, 3, 4, 5, 6, 7, 8, 9))])
+def test_inverses_on_realization_keys_match_oracle(monkeypatch, d, tup):
+    # every inverse the realization plan takes, against the Fraction oracle
+    from salemforge.realization import realization_points
+    from salemforge.spectrum import SpectrumKey
+
+    calls = []
+    inverse_mod = polys.inverse_mod
+
+    def recording(a, m):
+        out = inverse_mod(a, m)
+        calls.append((a, m, out))
+        return out
+
+    monkeypatch.setattr(polys, "inverse_mod", recording)
+    realization_points(SpectrumKey(d, tup))
+    # 1/(X^n + 1) for each orbit, once for the eigenvector and once for the
+    # closed forms, and 1/(X - 1)
+    assert len(calls) == 2 * len(tup) + 1
+    for a, m, out in calls:
+        assert out is not None and out == oracle_inverse(a, m)

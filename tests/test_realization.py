@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from salemforge.errors import InvalidKey, ModulusMismatch
+from salemforge import realization
+from salemforge.errors import InvalidKey, ModulusMismatch, StructureViolation
 from salemforge.realization import (
     CubicPoint,
     RealizationPlan,
@@ -74,6 +75,25 @@ def test_realization_invalid_keys():
         realization_points(SpectrumKey(4, (2, 3)))  # m != 2d-1
     with pytest.raises(InvalidKey):
         realization_points(SpectrumKey(4, (2, 2, 3, 4, 5, 6)))  # repeated entries
+
+
+@pytest.mark.parametrize(
+    "index, label",
+    [(1, r"q\(1,0\)"), (2, r"q\(1,1\)"), (3, r"q\(2,0\)")],
+)
+def test_realization_points_closed_form_mismatch_raises(monkeypatch, index, label):
+    # coordinate `index` feeds point `label`; the closed-form check against it
+    # must raise, not assert, so that python -O keeps it
+    original = realization.transpose_eigenvector
+
+    def perturbed(key, context=None):
+        v = original(key, context)
+        v[index] = v[index] + 1
+        return v
+
+    monkeypatch.setattr(realization, "transpose_eigenvector", perturbed)
+    with pytest.raises(StructureViolation, match=label):
+        realization_points(KEY4)
 
 
 def test_affine_recursion(plan4):

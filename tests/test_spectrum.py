@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from salemforge import polys
+from salemforge import polys, spectrum
 from salemforge.algebraic import EQUAL, GREATER, LESS, compare, compare_with_rational
-from salemforge.errors import BoundTooSmall, InvalidKey, ToleranceNotReached
+from salemforge.errors import BoundTooSmall, InvalidKey, StructureViolation, ToleranceNotReached
 from salemforge.jonquieres import OrbitData, auxiliary_polynomial
 from salemforge.spectrum import (
     IndexReading,
@@ -154,6 +154,26 @@ def test_limit_convergence_quick():
     report = verify_limit_convergence(4, (), 2, 12, Fraction(1, 100))
     assert report.passed and report.increasing
     assert report.gap_bound < Fraction(1, 100)
+
+
+def test_dominant_root_not_above_two_raises(monkeypatch):
+    # each certificate is an exact check that must hold under python -O too
+    monkeypatch.setattr(spectrum, "compare_with_rational", lambda value, r: LESS)
+    with pytest.raises(StructureViolation, match="dominant root must exceed 2"):
+        spectrum._dominant_root.__wrapped__(SpectrumKey(4, (2,)))
+
+
+def test_enumeration_order_disagreement_raises(monkeypatch):
+    # level 2 membership compares with d-1 only, so just the order check sees this
+    monkeypatch.setattr(spectrum, "compare", lambda a, b: GREATER)
+    with pytest.raises(StructureViolation, match="lex order disagrees with value order"):
+        enumerate_level_prefix(4, 2, 3, 10)
+
+
+def test_limit_convergence_not_increasing_raises(monkeypatch):
+    monkeypatch.setattr(spectrum, "compare", lambda a, b: GREATER)
+    with pytest.raises(StructureViolation, match="monotone increase failed"):
+        verify_limit_convergence(4, (), 2, 12, Fraction(1, 100))
 
 
 def test_limit_convergence_not_reached():
