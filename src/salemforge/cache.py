@@ -1,12 +1,13 @@
 """Append-only JSON-lines persistence for spectrum entries.
 
-One record per line, schema 1.  Writers take an advisory lock file;
+One record per line, schema 1.  Writers append under an flock of the file;
 readers never lock and tolerate a torn final line by skipping it.  On
 duplicate keys the record with the narrowest certified interval wins.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import polys
 from .algebraic import AlgebraicReal, RationalInterval
 from .census import UnitCircleCensus
-from .errors import StoreCorrupt
+from .errors import EndpointIsRoot, InvalidKey, StoreCorrupt
 from .serialize import (
     census_to_dict,
     interval_to_dict,
@@ -30,28 +31,35 @@ ENV_VAR = "SALEMFORGE_CACHE"
 
 
 class _FileLock:
-    """Advisory lock: exclusive creation of path + '.lock'."""
+    """Exclusive advisory flock on the data file, opened for appending.
+
+    The lock belongs to the open file, so the kernel releases it when the
+    holder closes it or dies; a killed writer cannot leave a stale lock.
+    """
 
     def __init__(self, path: Path, timeout: float = 10.0):
-        self.lock_path = Path(str(path) + ".lock")
+        self.path = path
         self.timeout = timeout
-        self._fd = None
+        self._fh = None
 
     def __enter__(self):
+        self._fh = open(self.path, "a", encoding="utf-8")
         deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                self._fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                return self
-            except FileExistsError:
-                if time.monotonic() > deadline:
-                    raise TimeoutError(f"could not acquire {self.lock_path}")
-                time.sleep(0.02)
+        try:
+            while True:
+                try:
+                    fcntl.flock(self._fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    return self._fh
+                except BlockingIOError:
+                    if time.monotonic() > deadline:
+                        raise TimeoutError(f"could not lock {self.path}") from None
+                    time.sleep(0.02)
+        except BaseException:
+            self._fh.close()
+            raise
 
     def __exit__(self, *exc):
-        if self._fd is not None:
-            os.close(self._fd)
-        self.lock_path.unlink(missing_ok=True)
+        self._fh.close()  # flushes the record, then drops the lock
         return False
 
 
@@ -68,13 +76,23 @@ def entry_to_record(entry) -> dict:
     }
 
 
-def record_to_entry(record: dict):
-    from .spectrum import SpectrumEntry, SpectrumKey  # local: avoid cycle
+def record_key(record: dict):
+    """The record's SpectrumKey, without checking the rest of the record."""
+    from .spectrum import SpectrumKey  # local: avoid cycle
 
     try:
         if record.get("schema") != SCHEMA:
             raise KeyError("schema")
-        key = SpectrumKey(record["d"], tuple(record["tuple"]))
+        return SpectrumKey(record["d"], tuple(record["tuple"]))
+    except (KeyError, ValueError, TypeError, AttributeError, InvalidKey) as exc:
+        raise StoreCorrupt(f"malformed record: {exc}") from exc
+
+
+def record_to_entry(record: dict):
+    from .spectrum import SpectrumEntry  # local: avoid cycle
+
+    key = record_key(record)
+    try:
         poly = strings_to_poly(record["poly"])
         lo = str_to_frac(record["interval"]["lo"])
         hi = str_to_frac(record["interval"]["hi"])
@@ -82,14 +100,17 @@ def record_to_entry(record: dict):
         label = record["label"]
     except (KeyError, ValueError, TypeError) as exc:
         raise StoreCorrupt(f"malformed record: {exc}") from exc
-    if lo == hi:
-        if polys.eval_at(poly, lo) != 0:
-            raise StoreCorrupt("stored exact value is not a root")
-    elif polys.sturm_count(poly, lo, hi) != 1:
-        raise StoreCorrupt("stored interval does not isolate a root")
-    elif polys.sturm_chain(poly)[0] != poly:
-        # refinement bisects by sign, which needs a simple root
-        raise StoreCorrupt("stored polynomial is not primitive and square-free")
+    try:
+        if lo == hi:
+            if polys.eval_at(poly, lo) != 0:
+                raise StoreCorrupt("stored exact value is not a root")
+        elif polys.sturm_count(poly, lo, hi) != 1:
+            raise StoreCorrupt("stored interval does not isolate a root")
+        elif polys.sturm_chain(poly)[0] != poly:
+            # refinement bisects by sign, which needs a simple root
+            raise StoreCorrupt("stored polynomial is not primitive and square-free")
+    except (ValueError, EndpointIsRoot) as exc:  # reversed interval, root at an endpoint
+        raise StoreCorrupt(f"stored interval is unusable: {exc}") from exc
     value = AlgebraicReal(poly, RationalInterval(lo, hi))
     return SpectrumEntry(key, value, census, label)
 
@@ -103,39 +124,50 @@ class SpectrumStore:
     def put(self, entry) -> None:
         record = entry_to_record(entry)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with _FileLock(self.path):
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record) + "\n")
+        with _FileLock(self.path) as fh:
+            fh.write(json.dumps(record) + "\n")
 
-    def _iter_records(self):
+    def _records(self):
+        """(line number, parsed record) for each line that parses."""
         if not self.path.exists():
             return
         with open(self.path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-        for lineno, line in enumerate(lines):
+        for lineno, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                yield lineno, json.loads(line)
             except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
+                if lineno == len(lines):
                     continue  # torn final line from a concurrent writer
-                warnings.warn(f"{self.path}:{lineno + 1}: unparseable record skipped")
-                continue
-            try:
-                yield record_to_entry(record)
-            except StoreCorrupt as exc:
-                warnings.warn(f"{self.path}:{lineno + 1}: {exc}")
+                warnings.warn(f"{self.path}:{lineno}: unparseable record skipped")
 
     def entries(self) -> list:
-        return list(self._iter_records())
+        """Every valid entry; each corrupt record is skipped with a warning."""
+        out = []
+        for lineno, record in self._records():
+            try:
+                out.append(record_to_entry(record))
+            except StoreCorrupt as exc:
+                warnings.warn(f"{self.path}:{lineno}: {exc}")
+        return out
 
     def get(self, key):
-        """Narrowest stored entry for the key, or None."""
+        """Narrowest stored entry for the key, or None.
+
+        Only records whose key matches are checked in full, so a corrupt
+        record of another key is skipped without a warning.
+        """
         best = None
-        for entry in self._iter_records():
-            if entry.key != key:
+        for lineno, record in self._records():
+            try:
+                if record_key(record) != key:
+                    continue
+                entry = record_to_entry(record)
+            except StoreCorrupt as exc:
+                warnings.warn(f"{self.path}:{lineno}: {exc}")
                 continue
             if best is None or entry.value.interval.width < best.value.interval.width:
                 best = entry

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import polys
-from .errors import DegenerateSchurStep
+from .errors import CensusContradiction, DegenerateSchurStep
 
 # Schur-Cohn coefficient blow-up guard before switching to the fallback
 _COHN_BIT_LIMIT = 1 << 16
@@ -65,7 +65,8 @@ def unit_circle_census(p) -> UnitCircleCensus:
     p = polys.normalize(p[k:])
     for factor, mult in polys.square_free_decomposition(p):
         census = census + _census_square_free(factor).scaled(mult)
-    assert census.total == polys.degree(p) + k, "census lost roots"
+    if census.total != polys.degree(p) + k:
+        raise CensusContradiction(f"census lost roots: {census}")
     return census
 
 
@@ -162,7 +163,8 @@ def _winding_inside(h) -> int:
             u = polys.add(u, polys.scale(_chebyshev_t(k), c))
             if k >= 1:
                 w = polys.add(w, polys.scale(_chebyshev_u(k - 1), c))
-    assert polys.eval_at(u, 1) != 0 and polys.eval_at(u, -1) != 0, "root on circle"
+    if polys.eval_at(u, 1) == 0 or polys.eval_at(u, -1) == 0:
+        raise CensusContradiction("winding fallback met a root on the circle")
     chain = polys.signed_remainder_chain(u, w)
     return polys.chain_variations_at(chain, -1) - polys.chain_variations_at(chain, 1)
 
@@ -200,6 +202,14 @@ def euler_phi(n: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_indices(max_degree: int) -> tuple:
+    """Every n with phi(n) <= max_degree, ascending."""
+    # phi(n) >= sqrt(n/2), so phi(n) <= D forces n <= 2 D^2 (+ slack for n=1,2)
+    limit = max(2 * max_degree * max_degree + 2, 6)
+    return tuple(n for n in range(1, limit + 1) if euler_phi(n) <= max_degree)
+
+
 def strip_cyclotomic_factors(p, max_degree: int):
     """Divide out every cyclotomic factor of degree <= max_degree.
 
@@ -207,22 +217,17 @@ def strip_cyclotomic_factors(p, max_degree: int):
     """
     removed = []
     q = p
-    n = 1
-    # phi(n) >= sqrt(n/2), so phi(n) <= D forces n <= 2 D^2 (+ slack for n=1,2)
-    limit = max(2 * max_degree * max_degree + 2, 6)
-    while n <= limit:
-        if euler_phi(n) <= max_degree:
-            c = polys.cyclotomic(n)
-            mult = 0
-            while polys.degree(q) >= polys.degree(c):
-                quot, rem = polys.monic_divmod(q, c)
-                if rem:
-                    break
-                q = quot
-                mult += 1
-            if mult:
-                removed.append((n, mult))
-        n += 1
+    for n in _cyclotomic_indices(max_degree):
+        c = polys.cyclotomic(n)
+        mult = 0
+        while polys.degree(q) >= polys.degree(c):
+            quot, rem = polys.monic_divmod(q, c)
+            if rem:
+                break
+            q = quot
+            mult += 1
+        if mult:
+            removed.append((n, mult))
     return q, removed
 
 
@@ -241,9 +246,24 @@ def salem_pisot_label(p, strip_degree_bound: int):
     circle roots on a non-reciprocal cofactor cannot be attributed without
     factoring, so the label stays undetermined.
     """
+    return _label(p, strip_degree_bound)
+
+
+def _label(p, strip_degree_bound: int, on=None):
+    """salem_pisot_label's (label, stripped, removed), given p's on-circle count.
+
+    With `on` known, the stripped polynomial needs no census of its own:
+    every root of a cyclotomic factor lies on the circle, so the stripped
+    on-count is `on` less the degrees of the removed factors.
+    """
     stripped, removed = strip_cyclotomic_factors(p, strip_degree_bound)
-    c = unit_circle_census(stripped)
-    if c.on == 0:
+    if on is None:
+        on = unit_circle_census(stripped).on
+    else:
+        on -= sum(mult * euler_phi(n) for n, mult in removed)
+        if on < 0:
+            raise CensusContradiction("stripped cyclotomic roots outnumber the circle roots")
+    if on == 0:
         return "pisot_like", stripped, removed
     if is_self_reciprocal(stripped):
         return "salem_like", stripped, removed

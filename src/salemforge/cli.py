@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid parameters (argparse's own convention),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -195,7 +196,9 @@ def cmd_cache(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls of main."""
     parser = argparse.ArgumentParser(
         prog="salemforge",
         description="exact constructions and certificates for plane dynamical degrees",

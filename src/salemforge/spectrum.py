@@ -25,7 +25,7 @@ from .algebraic import (
     isolate_largest_real_root,
     refine,
 )
-from .census import UnitCircleCensus, salem_pisot_label, unit_circle_census
+from .census import UnitCircleCensus, _label, unit_circle_census
 from .errors import BoundTooSmall, CensusContradiction, InvalidKey, StructureViolation, ToleranceNotReached
 from .jonquieres import OrbitData, auxiliary_polynomial
 
@@ -199,13 +199,12 @@ class LimitReport:
     prefix: tuple
     first: int
     last: int
-    increasing: bool
     gap_bound: Fraction
     tolerance: Fraction
 
     @property
     def passed(self) -> bool:
-        return self.increasing and self.gap_bound < self.tolerance
+        return self.gap_bound < self.tolerance
 
 
 def verify_limit_convergence(d: int, prefix: tuple, first: int, last: int, tolerance) -> LimitReport:
@@ -220,7 +219,8 @@ def verify_limit_convergence(d: int, prefix: tuple, first: int, last: int, toler
     base = SpectrumKey(d, tuple(prefix))
     keys = [SpectrumKey(d, base.tuple + (n,)) for n in range(first, last + 1)]
     roots = [_dominant_root(k) for k in keys]
-    increasing = all(compare(a, b) == LESS for a, b in zip(roots, roots[1:]))
+    if any(compare(a, b) != LESS for a, b in zip(roots, roots[1:])):
+        raise StructureViolation(f"monotone increase failed for d = {d}, prefix {prefix}")
     limit_root = _dominant_root(base)
     top = roots[-1]
     width = tolerance / 4
@@ -240,10 +240,7 @@ def verify_limit_convergence(d: int, prefix: tuple, first: int, last: int, toler
         width /= 16
     if gap is None:
         raise ToleranceNotReached("gap bound did not stabilise", achieved=upper)
-    report = LimitReport(d, tuple(prefix), first, last, increasing, gap, tolerance)
-    if not report.increasing:
-        raise StructureViolation(f"monotone increase failed for d = {d}, prefix {prefix}")
-    return report
+    return LimitReport(d, tuple(prefix), first, last, gap, tolerance)
 
 
 def classify_entry(key: SpectrumKey) -> SpectrumEntry:
@@ -256,6 +253,6 @@ def classify_entry(key: SpectrumKey) -> SpectrumEntry:
         )
     value = dynamical_degree(key)
     strip_bound = 2 * max(key.tuple, default=2)
-    label, _, _ = salem_pisot_label(poly, strip_bound)
+    label, _, _ = _label(poly, strip_bound, census.on)
     return SpectrumEntry(key, value, census, label)
 

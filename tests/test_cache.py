@@ -1,7 +1,14 @@
 """Append-only JSONL persistence for spectrum entries."""
 
+import fcntl
 import json
+import signal
+import subprocess
+import sys
+import time
 import warnings
+
+import pytest
 
 from salemforge import polys
 from salemforge.cache import SpectrumStore, _FileLock, default_store
@@ -104,11 +111,172 @@ def test_non_square_free_polynomial_rejected_on_read(tmp_path):
     assert any("square-free" in str(w.message) for w in caught)
 
 
+def append_record(path, record):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+
+
+def stored_record(path, lineno=0):
+    return json.loads(path.read_text().splitlines()[lineno])
+
+
+def lookup(store, key):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = store.get(key)
+    return got, [str(w.message) for w in caught]
+
+
+def test_get_skips_corrupt_record_of_other_key_silently(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (3,)))
+    bad = stored_record(path)
+    bad["interval"] = {"lo": "100", "hi": "200"}  # no root in there
+    append_record(path, bad)
+    store.put(make_entry(4, (2,)))
+    got, caught = lookup(store, SpectrumKey(4, (2,)))
+    assert got is not None and got.key == SpectrumKey(4, (2,))
+    assert not caught
+    got, caught = lookup(store, SpectrumKey(4, (3,)))
+    assert got is not None and len(caught) == 1
+
+
+def test_get_warns_on_corrupt_record_of_its_key_and_narrowest_valid_wins(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (), width=Fraction(1, 10**3)))
+    store.put(make_entry(4, (), width=Fraction(1, 10**15)))
+    bad = stored_record(path, 1)
+    bad["interval"]["hi"] = bad["interval"]["lo"]  # narrower, but not a root
+    append_record(path, bad)
+    got, caught = lookup(store, SpectrumKey(4))
+    assert Fraction(0) < got.value.interval.width <= Fraction(1, 10**15)
+    assert len(caught) == 1 and "cache.jsonl:3" in caught[0]
+
+
+def test_get_warns_on_record_with_malformed_key(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (2,)))
+    for bad in ('{"schema": 1, "d": 3, "tuple": []}', "[4, [2]]"):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad + "\n")
+    got, caught = lookup(store, SpectrumKey(4, (2,)))
+    assert got is not None
+    assert len(caught) == 2 and all("malformed" in m for m in caught)
+
+
+def test_entries_warn_once_per_corrupt_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (2,)))
+    store.put(make_entry(4, (3,)))
+    for lineno in (0, 1):
+        bad = stored_record(path, lineno)
+        bad["interval"] = {"lo": "100", "hi": "200"}
+        append_record(path, bad)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    store.put(make_entry(5))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entries = store.entries()
+    assert len(entries) == 3
+    assert [str(w.message).split(": ")[0] for w in caught] == [f"{path}:{n}" for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("lo,hi", [("2", "3"), ("1", "2"), ("3", "1")])
+def test_unusable_interval_is_skipped_with_warning(tmp_path, lo, hi):
+    # poly X - 2 stored with its root at an endpoint, or over a reversed interval
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (2,)))
+    bad = stored_record(path)
+    bad["poly"] = ["-2", "1"]
+    bad["interval"] = {"lo": lo, "hi": hi}
+    append_record(path, bad)
+    got, caught = lookup(store, SpectrumKey(4, (2,)))
+    assert got is not None and got.value.interval.lo != 2
+    assert len(caught) == 1
+
+
+def test_get_does_not_return_permuted_tuple(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (2, 3)))
+    record = stored_record(path)
+    path.write_text("")
+    record["tuple"] = [3, 2]  # same polynomial, another key
+    append_record(path, record)
+    assert store.get(SpectrumKey(4, (3, 2))) is not None
+    assert store.get(SpectrumKey(4, (2, 3))) is None
+
+
+def flock_free(path) -> bool:
+    with open(path, "a") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return False
+        return True
+
+
 def test_lock_file_lifecycle(tmp_path):
+    # the lock is an flock on the data file itself, held only inside the block
     path = tmp_path / "cache.jsonl"
     with _FileLock(path):
-        assert (tmp_path / "cache.jsonl.lock").exists()
-    assert not (tmp_path / "cache.jsonl.lock").exists()
+        assert not flock_free(path)
+        with pytest.raises(TimeoutError):
+            with _FileLock(path, timeout=0.05):
+                pass
+    assert flock_free(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl"]
+
+
+LOCK_HOLDER = """
+import sys, time
+from pathlib import Path
+from salemforge.cache import _FileLock
+with _FileLock(Path(sys.argv[1])):
+    print("locked", flush=True)
+    time.sleep(60)
+"""
+
+
+def timed_put(store, entry) -> float:
+    start = time.monotonic()
+    store.put(entry)
+    return time.monotonic() - start
+
+
+def test_lock_released_when_writer_is_killed(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    child = subprocess.Popen(
+        [sys.executable, "-c", LOCK_HOLDER, str(path)], stdout=subprocess.PIPE, text=True
+    )
+    try:
+        assert child.stdout.readline() == "locked\n"
+        assert not flock_free(path)
+        child.send_signal(signal.SIGKILL)
+        assert child.wait(timeout=10) == -signal.SIGKILL
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        child.stdout.close()
+    store = SpectrumStore(path)
+    assert timed_put(store, make_entry(4, (2,))) < 1.0
+    assert store.get(SpectrumKey(4, (2,))) is not None
+
+
+def test_stale_lock_file_does_not_block(tmp_path):
+    # an earlier version locked by creating cache.jsonl.lock; a killed writer left it behind
+    path = tmp_path / "cache.jsonl"
+    (tmp_path / "cache.jsonl.lock").write_text("")
+    store = SpectrumStore(path)
+    assert timed_put(store, make_entry(4, (2,))) < 1.0
+    assert store.get(SpectrumKey(4, (2,))) is not None
 
 
 def test_default_store_env(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from salemforge import census as cen
 from salemforge import polys
 from salemforge.census import UnitCircleCensus, unit_circle_census
-from salemforge.errors import DegenerateSchurStep
+from salemforge.errors import CensusContradiction, DegenerateSchurStep
 
 
 def C(i, o, u):
@@ -175,3 +175,44 @@ def test_label_undetermined():
     label, stripped, _ = cen.salem_pisot_label(p, 8)
     assert label == "undetermined"
     assert unit_circle_census(p) == C(1, 2, 1)
+
+
+@pytest.mark.parametrize("max_degree", range(31))
+def test_cyclotomic_indices(max_degree):
+    limit = max(2 * max_degree * max_degree + 2, 6)
+    expect = [n for n in range(1, limit + 1) if cen.euler_phi(n) <= max_degree]
+    assert list(cen._cyclotomic_indices(max_degree)) == expect
+
+
+def test_census_lost_roots_raises(monkeypatch):
+    # the root total is an exact check that must hold under python -O too
+    monkeypatch.setattr(cen, "_census_square_free", lambda f: C(0, 0, 0))
+    with pytest.raises(CensusContradiction, match="census lost roots"):
+        unit_circle_census((-1, -3, 1))
+
+
+@pytest.mark.parametrize("h", [(-1, 1), (1, 1), polys.mul((-1, 1), (1, 0, 3))])
+def test_winding_with_root_on_circle_raises(h):
+    with pytest.raises(CensusContradiction, match="root on the circle"):
+        cen._winding_inside(h)
+
+
+LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+UNDETERMINED = polys.mul((-1, -3, 1), (2, -3, 2))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        (-1, -2, 0, -3, 1),
+        LEHMER,
+        UNDETERMINED,
+        polys.mul_many([polys.cyclotomic(1), polys.cyclotomic(4), (-1, -3, 1)]),
+        polys.mul_many([polys.cyclotomic(12), polys.cyclotomic(12), polys.cyclotomic(2), LEHMER]),
+        polys.mul_many([polys.cyclotomic(5), polys.cyclotomic(3), UNDETERMINED]),
+    ],
+)
+@pytest.mark.parametrize("bound", [1, 2, 4, 8])
+def test_label_from_known_on_count_matches_second_census(p, bound):
+    # classify_entry passes the on-count of p in place of a census of the stripped p
+    assert cen._label(p, bound, unit_circle_census(p).on) == cen.salem_pisot_label(p, bound)

@@ -185,3 +185,35 @@ def test_bad_tuple_argument_exits_2():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def fresh_process_output(*argv) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-m", "salemforge.cli", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_shared_parser_leaks_no_state(capsys, tmp_path, monkeypatch):
+    # main builds its parser once per process; later calls must not see earlier ones
+    from salemforge.cli import build_parser
+
+    monkeypatch.delenv("SALEMFORGE_CACHE", raising=False)
+    classify = ("classify", "--d", "4", "--tuple", "2,3,4")
+    cached = classify + ("--cache", str(tmp_path / "c.jsonl"))
+    calls = [
+        cached,  # miss
+        ("lambda", "--d", "5", "--tuple", "2,3", "--width", "1/1000"),
+        cached,  # hit
+        ("census", "--d", "4", "--tuple", "2"),
+    ]
+    outputs = []
+    for argv in calls:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outputs.append(out)
+    assert build_parser() is build_parser()
+    expect = [fresh_process_output(*classify), fresh_process_output(*calls[1])]
+    expect += [expect[0], fresh_process_output(*calls[3])]
+    assert outputs == expect
