@@ -55,7 +55,8 @@ class AlgebraicReal:
 
     @property
     def exact_value(self) -> Fraction:
-        assert self.is_exact
+        if not self.is_exact:
+            raise ValueError("the root is only known up to its isolating interval")
         return self.interval.lo
 
     @staticmethod

@@ -67,6 +67,8 @@ def sub(p: IntPoly, q: IntPoly) -> IntPoly:
 def scale(p: IntPoly, k: int) -> IntPoly:
     if k == 0:
         return ZERO
+    if k == 1:
+        return p
     return tuple(c * k for c in p)
 
 
@@ -147,9 +149,20 @@ def eval_at(p: IntPoly, x):
 
 
 def _interval_hom(p: IntPoly, lo: int, hi: int, den: int) -> tuple:
-    """Integer interval Horner: den**deg(p) times the bounds for p on [lo/den, hi/den]."""
+    """Integer interval Horner: den**deg(p) times the bounds for p on [lo/den, hi/den].
+
+    For lo >= 0 every x in the interval is nonnegative, so the least and
+    greatest of the four products a*x are fixed by the signs of alo and
+    ahi: two products per coefficient give the same bounds.
+    """
     alo = ahi = p[-1]
     dk = 1
+    if lo >= 0:
+        for c in reversed(p[:-1]):
+            dk *= den
+            cd = c * dk
+            alo, ahi = alo * (lo if alo >= 0 else hi) + cd, ahi * (hi if ahi >= 0 else lo) + cd
+        return alo, ahi
     for c in reversed(p[:-1]):
         dk *= den
         cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
@@ -357,7 +370,8 @@ def square_free_decomposition(p: IntPoly) -> list:
 
 def cauchy_bound(p: IntPoly) -> Fraction:
     """1 + max|c_i|/|c_lead|: all complex roots have modulus below this."""
-    assert p and degree(p) >= 1
+    if degree(p) < 1:
+        raise ValueError("the Cauchy bound needs a nonconstant polynomial")
     rest = max((abs(c) for c in p[:-1]), default=0)
     return 1 + Fraction(rest, abs(p[-1]))
 

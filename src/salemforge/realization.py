@@ -19,6 +19,7 @@ polynomial itself may be reducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import polys
 from .errors import InvalidKey, ModulusMismatch, StructureViolation
@@ -66,15 +67,11 @@ def collinearity_sum(t1: ResidueElement, t2: ResidueElement, t3: ResidueElement)
 
 
 def _context_for(key: SpectrumKey) -> ResidueContext:
-    from fractions import Fraction
-
     denominators = [(-1, 1)] + [polys.binomial_xn_plus_1(n) for n in key.tuple]
-    ctx = reduced_modulus_context(key.polynomial(), denominators)
-    # one deep refinement up front lets the nonzero certificates below
-    # resolve by plain interval evaluation despite large representative
-    # coefficients; zero verdicts still go through the gcd certificate
-    ctx.refine_root(Fraction(1, 2**400))
-    return ctx
+    # the root keeps its isolating interval; residue_is_zero and
+    # residue_sign narrow it only as far as a sign needs, and zero
+    # verdicts go through the gcd certificate
+    return reduced_modulus_context(key.polynomial(), denominators)
 
 
 def transpose_eigenvector(key: SpectrumKey, context: ResidueContext | None = None):
@@ -207,9 +204,15 @@ def _points_in_basis_order(plan: RealizationPlan):
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    expression: list  # rational coefficients of the residue representative
+    num: tuple  # the residue representative is num/den, as in ResidueElement
+    den: int
     expected: str  # 'zero' | 'nonzero' | 'positive'
     passed: bool
+
+    @property
+    def expression(self) -> list:
+        """Rational coefficients of the residue representative."""
+        return [Fraction(c, self.den) for c in self.num]
 
 
 @dataclass(frozen=True)
@@ -228,7 +231,7 @@ class VerificationReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        from .serialize import frac_to_str
+        from .serialize import ratio_to_str
 
         return {
             "d": self.key.d,
@@ -238,7 +241,7 @@ class VerificationReport:
                 name: [
                     {
                         "name": r.name,
-                        "expression": [frac_to_str(c) for c in r.expression],
+                        "expression": [ratio_to_str(c, r.den) for c in r.num],
                         "expected": r.expected,
                         "pass": r.passed,
                     }
@@ -250,15 +253,15 @@ class VerificationReport:
 
 
 def _nonzero(name, e: ResidueElement) -> CheckResult:
-    return CheckResult(name, e.representative(), "nonzero", not residue_is_zero(e))
+    return CheckResult(name, e.num, e.den, "nonzero", not residue_is_zero(e))
 
 
 def _zero(name, e: ResidueElement) -> CheckResult:
-    return CheckResult(name, e.representative(), "zero", residue_is_zero(e))
+    return CheckResult(name, e.num, e.den, "zero", residue_is_zero(e))
 
 
 def _positive(name, e: ResidueElement) -> CheckResult:
-    return CheckResult(name, e.representative(), "positive", residue_sign(e) == 1)
+    return CheckResult(name, e.num, e.den, "positive", residue_sign(e) == 1)
 
 
 def verify_realization(key: SpectrumKey) -> VerificationReport:
@@ -312,19 +315,21 @@ def verify_realization(key: SpectrumKey) -> VerificationReport:
 
     # group 4: orbit points off the degree-(d-1) curve
     offcurve = []
+    lam2 = ctx.x_power(2)
     head_sum = ctx.zero
     for k in heads:
         head_sum = head_sum + plan.point(k, 0)
-    curve = (lam - 1) * ((key.d - 2) * q1 + head_sum) + 3 * lam * lam - (lam + 1)
+    curve = (lam - 1) * ((key.d - 2) * q1 + head_sum) + 3 * lam2 - (lam + 1)
     offcurve.append(_zero("curve identity", curve))
     residual = -((key.d - 2) * q1) - head_sum  # last intersection of the curve
     for lab in labels:
         offcurve.append(_nonzero(f"q{lab} != curve residual", plan.point(*lab) - residual))
-    offcurve.append(_positive("lambda^2+1 > 0", lam * lam + 1))
-    offcurve.append(_positive("lambda^2+lambda > 0", lam * lam + lam))
+    offcurve.append(_positive("lambda^2+1 > 0", lam2 + 1))
+    offcurve.append(_positive("lambda^2+lambda > 0", lam2 + lam))
     for i, n in enumerate(key.tuple, start=2):
         for j in range(n):
-            expr = lam * lam * (ctx.x_power(n) + 1) + ctx.x_power(j)
+            # lambda^2(lambda^n+1) + lambda^j, from memoised powers
+            expr = ctx.x_power(n + 2) + lam2 + ctx.x_power(j)
             offcurve.append(_positive(f"lambda^2(lambda^{n}+1)+lambda^{j} > 0", expr))
 
     groups = (
@@ -355,8 +360,9 @@ def _distinctness_monomial(ctx, lam, key: SpectrumKey, la, lb):
         return _nonzero(
             f"lambda^{k + 1} != lambda^{l + 1}", ctx.x_power(k + 1) - ctx.x_power(l + 1)
         )
-    lhs = ctx.x_power(k + 1) * (ctx.x_power(nj) + 1)
-    rhs = ctx.x_power(l + 1) * (ctx.x_power(ni) + 1)
+    # lambda^a(lambda^b+1) = lambda^(a+b) + lambda^a, from memoised powers
+    lhs = ctx.x_power(k + 1 + nj) + ctx.x_power(k + 1)
+    rhs = ctx.x_power(l + 1 + ni) + ctx.x_power(l + 1)
     return _nonzero(
         f"lambda^{k + 1}(lambda^{nj}+1) != lambda^{l + 1}(lambda^{ni}+1)", lhs - rhs
     )

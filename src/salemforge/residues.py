@@ -12,6 +12,7 @@ way round, to certify nonzero values and signs.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,11 @@ from .errors import ModulusMismatch, NotInvertible, NotIsolating
 
 
 class ResidueContext:
-    """Shared modulus plus the certified root all decisions refer to."""
+    """Shared modulus plus the certified root all decisions refer to.
+
+    Safe to share across threads: one lock guards the power memo, which
+    only grows, and the root, which only ever narrows.
+    """
 
     def __init__(self, modulus, root: AlgebraicReal):
         modulus = polys.normalize(modulus)
@@ -38,7 +43,8 @@ class ResidueContext:
             raise ValueError("root.defining must divide the modulus")
         self.modulus = modulus
         self.root = root
-        self._powers = [(polys.ONE, 1)]
+        self._lock = threading.Lock()
+        self._powers = [polys.ONE]
         self.zero = ResidueElement(self, (), 1)
         self.one = ResidueElement(self, (1,), 1)
 
@@ -67,12 +73,12 @@ class ResidueContext:
 
     def x_power(self, k: int) -> "ResidueElement":
         """X**k reduced, memoised: the workhorse for lambda-power formulas."""
-        while len(self._powers) <= k:
-            prev, _ = self._powers[-1]
-            nxt = self._mod(polys.shift(prev, 1))
-            self._powers.append((nxt, 1))
-        num, den = self._powers[k]
-        return ResidueElement(self, num, den)
+        powers = self._powers
+        if k >= len(powers):
+            with self._lock:
+                while len(powers) <= k:
+                    powers.append(self._mod(polys.shift(powers[-1], 1)))
+        return ResidueElement(self, powers[k], 1)
 
     def _mod(self, num):
         if polys.degree(num) >= polys.degree(self.modulus):
@@ -82,6 +88,8 @@ class ResidueContext:
     def _make(self, num, den: int) -> "ResidueElement":
         if not num:
             return ResidueElement(self, (), 1)
+        if den == 1:
+            return ResidueElement(self, num, 1)
         g = math.gcd(polys.content(num), den)
         if den < 0:
             g = -g
@@ -89,8 +97,13 @@ class ResidueContext:
 
     # -- refinement shared by all elements of the context -------------------
 
-    def refine_root(self, width) -> None:
-        self.root = refine(self.root, width)
+    def _narrow_root(self, root: AlgebraicReal) -> None:
+        """Store `root` if its interval is narrower than the current one."""
+        if root is self.root:
+            return
+        with self._lock:
+            if root.interval.width < self.root.interval.width:
+                self.root = root
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,8 @@ class ResidueElement:
     den: int
 
     def _check(self, other) -> "ResidueElement":
+        if isinstance(other, int):
+            return ResidueElement(self.context, (other,) if other else (), 1)
         if not isinstance(other, ResidueElement):
             return self.context.reduce([other])
         if other.context != self.context:
@@ -198,16 +213,16 @@ def residue_is_zero(e: ResidueElement) -> bool:
         if root.is_exact:
             return polys.eval_at(e.num, root.exact_value) == 0
         if polys.interval_sign(e.num, root.interval.lo, root.interval.hi):
-            ctx.root = root
+            ctx._narrow_root(root)
             return False
         root = refine(root, root.interval.width / 2**20)
-    ctx.root = root
+    ctx._narrow_root(root)
     # certificate path
     g = polys.gcd(e.num, ctx.modulus)
     if polys.degree(g) < 1:
         return False
     root = refine_clear_of(root, g)
-    ctx.root = root
+    ctx._narrow_root(root)
     return polys.sturm_count(g, root.interval.lo, root.interval.hi) >= 1
 
 
@@ -222,7 +237,7 @@ def residue_sign(e: ResidueElement) -> int:
             return polys.sign(polys.eval_at(e.num, root.exact_value))
         s = polys.interval_sign(e.num, root.interval.lo, root.interval.hi)
         if s:
-            ctx.root = root
+            ctx._narrow_root(root)
             return s
         root = refine(root, root.interval.width / 2**10)
 

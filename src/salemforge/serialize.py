@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
 def frac_to_str(x) -> str:
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    return ratio_to_str(x.numerator, x.denominator)
+
+
+def ratio_to_str(num: int, den: int) -> str:
+    """The reduced fraction num/den, den > 0, as "p/q" or "p"; one gcd, no Fraction."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 def str_to_frac(s: str) -> Fraction:

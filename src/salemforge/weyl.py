@@ -108,7 +108,8 @@ def cremona_involution_on(indices, n: int) -> tuple:
 
 
 def permutation_generator(perm) -> WeylGenerator:
-    assert perm[0] == 0, "permutations must fix index 0"
+    if perm[0] != 0:
+        raise ValueError("permutations must fix index 0")
     return WeylGenerator("permutation", tuple(perm))
 
 

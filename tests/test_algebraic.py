@@ -207,3 +207,11 @@ def test_decimal_rendering():
     assert a.decimal(12) == "3.302775637732"
     five = AlgebraicReal.from_rational(5)
     assert five.decimal(3) == "5.000"
+
+
+def test_exact_value_of_inexact_root_raises():
+    # a typed error, which `python -O` cannot strip
+    a = isolate_largest_real_root(GOLDEN)
+    assert not a.is_exact
+    with pytest.raises(ValueError, match="isolating interval"):
+        a.exact_value

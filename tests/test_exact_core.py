@@ -243,6 +243,59 @@ def test_interval_sign_decided_by_coarse_rung_on_deep_interval():
     assert polys.interval_sign((-10, 1), lo, hi) == 0
 
 
+nonneg_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda n, d: Fraction(n, d), st.integers(0, 2**310), denominators),
+    st.builds(lambda n, d: Fraction(n, d), st.integers(0, 200), st.integers(1, 64)),
+)
+
+
+def interval_hom_bounds(p, lo, hi):
+    ilo, ihi, den = polys.common_den(lo, hi)
+    alo, ahi = polys._interval_hom(p, ilo, ihi, den)
+    scale = den ** polys.degree(p)
+    return Fraction(alo, scale), Fraction(ahi, scale)
+
+
+@given(polys_small.filter(bool), nonneg_rationals, nonneg_rationals)
+@settings(max_examples=250, deadline=None)
+def test_interval_hom_nonnegative_matches_oracle(p, a, b):
+    # lo >= 0 takes the two-product loop; its bounds equal the four-product ones
+    lo, hi = ordered(a, b)
+    assert interval_hom_bounds(p, lo, hi) == oracle_eval_interval(p, lo, hi)
+
+
+@given(polys_small.filter(bool), nonneg_rationals, st.integers(0, 400), st.integers(0, 400))
+@settings(max_examples=150, deadline=None)
+def test_interval_hom_nonnegative_on_rounded_deep_intervals(p, x, k1, k2):
+    # a deep interval around x >= 0 rounded outward to 2^-64, as interval_sign does
+    lo, hi = max(x - Fraction(1, 2**k1), Fraction(0)), x + Fraction(1, 3 * 2**k2)
+    ilo, ihi, den = polys._outward(lo, hi, 64)
+    assert ilo >= 0
+    alo, ahi = polys._interval_hom(p, ilo, ihi, den)
+    scale = den ** polys.degree(p)
+    assert (Fraction(alo, scale), Fraction(ahi, scale)) == oracle_eval_interval(
+        p, Fraction(ilo, den), Fraction(ihi, den)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, lo, hi, acc",
+    [
+        ((-2, 3, -4, 1), Fraction(0), Fraction(7, 2), "straddles"),
+        ((1, -3, 1), Fraction(1, 3), Fraction(5, 2), "negative"),
+        ((-7, 1, 1), Fraction(0), Fraction(2), "positive"),
+        ((3, -1, 2), Fraction(0), Fraction(0), "negative"),
+    ],
+)
+def test_interval_hom_nonnegative_sign_cases(p, lo, hi, acc):
+    # the accumulator entering the last Horner step holds the bounds of the
+    # polynomial p[1:]; each case puts it on one side of 0 or across it
+    alo, ahi = oracle_eval_interval(p[1:], lo, hi)
+    assert acc == ("straddles" if alo < 0 < ahi else "negative" if ahi < 0 else "positive")
+    assert interval_hom_bounds(p, lo, hi) == oracle_eval_interval(p, lo, hi)
+
+
 def test_interval_sign_exact_rung_decides_what_64_bits_cannot():
     # 3X - 1 on [1/3 + 2^-100, 1/3 + 2^-99]: rounded outward to 2^-64 the
     # interval contains the root 1/3, so only the exact endpoints decide
@@ -314,7 +367,8 @@ def test_refine_midpoint_root_of_defining():
 
 
 def test_refine_deep_matches_oracle_on_realization_key():
-    # the d=4 full-orbit key, refined to 2^-400 as the realization check does
+    # the d=4 full-orbit key, refined to 2^-400: 400-bit endpoints, far
+    # deeper than any sign decision of the realization check needs
     from salemforge.spectrum import SpectrumKey
 
     a = isolate_largest_real_root(SpectrumKey(4, (2, 3, 4, 5, 6, 7)).polynomial())
@@ -447,3 +501,56 @@ def test_inverses_on_realization_keys_match_oracle(monkeypatch, d, tup):
     assert len(calls) == 2 * len(tup) + 1
     for a, m, out in calls:
         assert out is not None and out == oracle_inverse(a, m)
+
+
+# -- realization check results ----------------------------------------------------
+
+
+@given(st.integers(-(2**80), 2**80), st.integers(1, 2**40), st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_ratio_to_str_matches_frac_to_str(c, den, k):
+    from salemforge.serialize import frac_to_str, ratio_to_str
+
+    # k gives c and den a common factor
+    for num, d in ((c, den), (c * k, den * k), (0, den), (-abs(c) * k, k)):
+        assert ratio_to_str(num, d) == frac_to_str(Fraction(num, d))
+
+
+def test_ratio_to_str_cases():
+    from salemforge.serialize import ratio_to_str
+
+    assert ratio_to_str(0, 7) == "0"
+    assert ratio_to_str(-6, 4) == "-3/2"
+    assert ratio_to_str(12, 4) == "3"
+    assert ratio_to_str(-5, 1) == "-5"
+
+
+REALIZATION_KEYS = [(4, (2, 3, 4, 5, 6, 7)), (5, (2, 3, 4, 5, 6, 7, 8, 9))]
+
+
+def test_check_result_expression_is_representative():
+    from salemforge import realization
+    from salemforge.spectrum import SpectrumKey
+
+    ctx = realization._context_for(SpectrumKey(*REALIZATION_KEYS[0]))
+    lam = ctx.x_power(1)
+    inv = (lam - 1).inverse()
+    for e in (ctx.zero, ctx.one, -3 * lam, (2 - lam) * inv, lam * inv + ctx.x_power(9)):
+        for check in (realization._nonzero, realization._zero, realization._positive):
+            r = check("e", e)
+            assert r.den > 0
+            assert r.expression == e.representative()
+
+
+@pytest.mark.parametrize("d, tup", REALIZATION_KEYS)
+def test_monomial_identities_from_memoised_powers(d, tup):
+    # lambda^a(lambda^b+1) = lambda^(a+b) + lambda^a for every (a, b) that
+    # the distinctness cross-checks and the group-4 sign checks use
+    from salemforge import realization
+    from salemforge.spectrum import SpectrumKey
+
+    ctx = realization._context_for(SpectrumKey(d, tup))
+    pairs = {(k + 1, nj) for i, ni in enumerate(tup) for j, nj in enumerate(tup) if i != j for k in range(ni)}
+    pairs |= {(2, n) for n in tup}
+    for a, b in sorted(pairs):
+        assert ctx.x_power(a + b) + ctx.x_power(a) == ctx.x_power(a) * (ctx.x_power(b) + 1)

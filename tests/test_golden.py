@@ -18,6 +18,8 @@ from salemforge.cli import main
 
 REALIZE_D4 = ("realize", "--d", "4", "--tuple", "2,3,4,5,6,7")
 REALIZE_D4_SHA = "bfbfb332fc193fb251361cb7dd583c35f07a63e98977ff659e2d99f531f3ddaf"
+REALIZE_D5 = ("realize", "--d", "5", "--tuple", "2,3,4,5,6,7,8,9")
+REALIZE_D5_SHA = "160fa447fe7c864901675ac07a81d42cdaac289690982bda4f380ff113ea7bc6"
 CHARPOLY_D5 = ("charpoly", "--d", "5", "--tuple", "2,3,4,5,6,7,8,9")
 CHARPOLY_D5_SHA = "5d1fcfd6b237e1c86a339c310a737936a40a4a92bc3b439ad78a0dcd69f5c62e"
 WEYL_D4 = ("weyl", "--d", "4", "--tuple", "2,3,4,5,6,7")
@@ -25,10 +27,7 @@ WEYL_D4_SHA = "4b7f9dade7c43dbffa90b3ed1982268fa9e564c1c8c8d902c18c9978b42de725"
 
 GOLDEN = [
     (REALIZE_D4, REALIZE_D4_SHA),
-    (
-        ("realize", "--d", "5", "--tuple", "2,3,4,5,6,7,8,9"),
-        "160fa447fe7c864901675ac07a81d42cdaac289690982bda4f380ff113ea7bc6",
-    ),
+    (REALIZE_D5, REALIZE_D5_SHA),
     (("lambda", "--d", "4", "--tuple", ""), "53cec6ca69e233c5ea27d357f01957c3ce899b2eb5f70f9b5b9cb5827768caa2"),
     (("lambda", "--d", "4", "--tuple", "2,3"), "67f829c9eef813b710263189071cc5edfe783984b4f0e6fd0cbab4d6d60998f7"),
     (
@@ -90,6 +89,10 @@ def run_optimized(argv, digest):
 
 def test_realize_under_optimize_flag():
     run_optimized(REALIZE_D4, REALIZE_D4_SHA)
+
+
+def test_realize_d5_under_optimize_flag():
+    run_optimized(REALIZE_D5, REALIZE_D5_SHA)
 
 
 @pytest.mark.parametrize("argv,digest", MATRIX_PATHS, ids=[a[0] for a, _ in MATRIX_PATHS])

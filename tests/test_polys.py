@@ -221,6 +221,12 @@ def test_reverse():
     assert polys.reverse((0, 1)) == (1,)
 
 
+@pytest.mark.parametrize("p", [(), (5,), (-3,)])
+def test_cauchy_bound_rejects_constants(p):
+    with pytest.raises(ValueError, match="nonconstant"):
+        polys.cauchy_bound(p)
+
+
 def test_cauchy_bound_contains_roots():
     p = (-1, -3, 1)
     b = polys.cauchy_bound(p)

@@ -4,6 +4,9 @@ Long-division oracles are computed inline with Fractions; the context
 polynomial X^2-3X-1 has lambda = (3+sqrt(13))/2 as its distinguished root.
 """
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -186,3 +189,87 @@ def test_x_minus_lambda_is_zero_check():
     ctx = ResidueContext.for_largest_root(GOLDEN)
     lam = ctx.x_power(1)
     assert residue_is_zero(lam * lam - 3 * lam - 1)
+
+
+# -- one context shared across threads ------------------------------------------
+
+
+def run_threads(n, target):
+    barrier = threading.Barrier(n)
+    errors = []
+
+    def body(i):
+        try:
+            barrier.wait(timeout=30)
+            target(i)
+        except BaseException as exc:  # reported after join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=body, args=(i,)) for i in range(n)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+
+
+def test_x_power_memo_shared_across_threads():
+    # every thread extends the memo to X^300; a racy append would store a
+    # power twice and shift every later one
+    modulus = polys.mul(GOLDEN, polys.binomial_xn_plus_1(9))
+    for _ in range(5):
+        ctx = ResidueContext.for_largest_root(modulus)
+        run_threads(6, lambda i: ctx.x_power(300 - i))
+        for k in range(301):
+            assert ctx.x_power(k) == ctx.reduce([0] * k + [1])
+
+
+def test_realization_verdicts_shared_across_threads():
+    # the d=4 realization checks, run by 6 threads on one context: each
+    # verdict equals the serial one and the shared root only narrows
+    from salemforge import realization
+    from salemforge.spectrum import SpectrumKey
+
+    key = SpectrumKey(4, (2, 3, 4, 5, 6, 7))
+    report = realization.verify_realization(key)
+    checks = [r for _, results in report.groups for r in results]
+    ctx = realization._context_for(key)
+
+    def verdict(r):
+        e = ctx.reduce(r.expression)
+        return residue_sign(e) == 1 if r.expected == "positive" else residue_is_zero(e) == (r.expected == "zero")
+
+    got = [None] * len(checks)
+    widths = [[] for _ in range(6)]
+    order = list(range(len(checks)))
+    random.Random(0).shuffle(order)
+
+    def work(i):
+        # a sixth of the checks each, plus a sample that other threads also run
+        extra = random.Random(i).sample(order, len(order) // 6)
+        for n in order[i::6] + extra:
+            got[n] = verdict(checks[n])
+            widths[i].append(ctx.root.interval.width)
+
+    run_threads(6, work)
+    assert got == [r.passed for r in checks]
+    assert all(r.passed for r in checks)
+    for seen in widths:
+        assert all(b <= a for a, b in zip(seen, seen[1:]))
+
+
+def test_narrow_root_keeps_the_narrower_interval(ctx):
+    from salemforge.algebraic import refine
+
+    wide = ctx.root
+    narrow = refine(wide, wide.interval.width / 2**30)
+    ctx._narrow_root(narrow)
+    assert ctx.root is narrow
+    ctx._narrow_root(refine(wide, wide.interval.width / 2**10))
+    assert ctx.root is narrow

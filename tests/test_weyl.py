@@ -185,3 +185,9 @@ def test_generators_preserve_form_exactly():
         assert preserves_form(g)
         perm = [0] + rng.sample(range(1, n), n - 1)
         assert preserves_form(matrices.permutation_matrix(tuple(perm), n))
+
+
+def test_permutation_generator_must_fix_index_0():
+    assert permutation_generator((0, 2, 1)).data == (0, 2, 1)
+    with pytest.raises(ValueError, match="fix index 0"):
+        permutation_generator((1, 0, 2))
