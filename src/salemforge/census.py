@@ -7,11 +7,13 @@ arithmetic:
 * roots at the origin are stripped first (counted as inside),
 * a square-free decomposition reduces to the square-free case,
 * the self-inversive part gcd(f, reverse(f)) carries every root on the
-  circle plus the reciprocal off-circle pairs; substituting x = z + 1/z
-  turns its census into real-root counts of a half-degree polynomial,
-* the remaining cofactor has no circle roots; its inside count comes from
-  the Schur-Cohn iteration, with a Cauchy-index computation on the unit
-  circle as a complete fallback for degenerate steps.
+  circle plus the reciprocal off-circle pairs; the cofactor has no circle
+  roots, since each circle root of f is also a root of reverse(f).
+
+Both halves go through one Chebyshev series in c = cos(theta), z = e**(i
+theta): the self-inversive part becomes a half-degree polynomial whose real
+roots in (-1, 1) are its circle pairs, and the cofactor's inside count is a
+Cauchy index on (-1, 1).
 """
 
 from __future__ import annotations
@@ -20,10 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import polys
-from .errors import CensusContradiction, DegenerateSchurStep
-
-# Schur-Cohn coefficient blow-up guard before switching to the fallback
-_COHN_BIT_LIMIT = 1 << 16
+from .errors import CensusContradiction
 
 
 @dataclass(frozen=True)
@@ -80,34 +79,9 @@ def _census_square_free(f) -> UnitCircleCensus:
         h = f
     out = _census_self_inversive(s) if polys.degree(s) >= 1 else _EMPTY
     if polys.degree(h) >= 1:
-        try:
-            inside = _cohn_inside(h)
-        except DegenerateSchurStep:
-            inside = _winding_inside(h)
+        inside = _winding_inside(h)
         out = out + UnitCircleCensus(inside, 0, polys.degree(h) - inside)
     return out
-
-
-@lru_cache(maxsize=None)
-def _pair_power(j: int):
-    """P_j with z**j + z**-j == P_j(z + 1/z): P_0 = 2, P_1 = x."""
-    if j == 0:
-        return (2,)
-    if j == 1:
-        return (0, 1)
-    return polys.sub(polys.mul((0, 1), _pair_power(j - 1)), _pair_power(j - 2))
-
-
-def half_transform(s):
-    """g with s(z) == z**k * g(z + 1/z) for palindromic s of degree 2k."""
-    n = polys.degree(s)
-    assert n % 2 == 0
-    k = n // 2
-    assert all(s[i] == s[n - i] for i in range(k + 1)), "not palindromic"
-    g = (s[k],)
-    for j in range(1, k + 1):
-        g = polys.add(g, polys.scale(_pair_power(j), s[k + j]))
-    return g
 
 
 def _census_self_inversive(s) -> UnitCircleCensus:
@@ -117,35 +91,22 @@ def _census_self_inversive(s) -> UnitCircleCensus:
         if polys.eval_at(s, value) == 0:
             s = polys.divexact(s, root_poly)
             on += 1
-    if polys.degree(s) == 0:
+    n = polys.degree(s)
+    if n == 0:
         return UnitCircleCensus(0, on, 0)
-    g = half_transform(polys.primitive(s))
-    k = polys.degree(g)
-    r_in = polys.sturm_count(g, -2, 2)
+    if n % 2 or polys.reverse(s) != s:
+        raise CensusContradiction("self-inversive part is not an even palindrome")
+    # s(z) = z**k * g(c) with g = s_k + 2 * sum_j s_{k+j} T_j(c)
+    k = n // 2
+    s = polys.primitive(s)
+    g = _chebyshev_series((s[k],) + tuple(2 * c for c in s[k + 1 :]), _chebyshev_t)
+    r_in = polys.sturm_count(g, -1, 1)
     r_all = polys.count_real_roots(g)
     r_out = r_all - r_in
     cplx = k - r_all
-    # real x in (-2,2): conjugate pair on the circle; real x outside: real
-    # reciprocal pair (one in, one out); complex x: quadruple (two in, two out)
+    # real c in (-1,1): conjugate pair on the circle; real c outside: real
+    # reciprocal pair (one in, one out); complex c: quadruple (two in, two out)
     return UnitCircleCensus(r_out + cplx, on + 2 * r_in, r_out + cplx)
-
-
-def _cohn_inside(h) -> int:
-    """Inside count by the Schur-Cohn iteration; raises on degenerate steps."""
-    cur = polys.primitive_signed(h)
-    n = polys.degree(cur)
-    if n == 0:
-        return 0
-    a0, an = cur[0], cur[-1]
-    delta = a0 * a0 - an * an
-    if delta == 0:
-        raise DegenerateSchurStep("leading Schur-Cohn parameter vanished")
-    if max(abs(a0), abs(an)).bit_length() > _COHN_BIT_LIMIT:
-        raise DegenerateSchurStep("coefficient blow-up")
-    nxt = polys.sub(polys.scale(cur, a0), polys.scale(polys.reverse(cur), an))
-    assert polys.degree(nxt) < n and nxt and nxt[0] == delta
-    t = _cohn_inside(nxt)
-    return t if delta > 0 else n - t
 
 
 def _winding_inside(h) -> int:
@@ -156,17 +117,21 @@ def _winding_inside(h) -> int:
     the Cauchy index of w/u on (-1, 1), a generalized Sturm count.  Requires
     h without roots on the circle (h(1) != 0 != h(-1) in particular).
     """
-    u = ()
-    w = ()
-    for k, c in enumerate(h):
-        if c:
-            u = polys.add(u, polys.scale(_chebyshev_t(k), c))
-            if k >= 1:
-                w = polys.add(w, polys.scale(_chebyshev_u(k - 1), c))
+    u = _chebyshev_series(h, _chebyshev_t)
+    w = _chebyshev_series(h[1:], _chebyshev_u)
     if polys.eval_at(u, 1) == 0 or polys.eval_at(u, -1) == 0:
-        raise CensusContradiction("winding fallback met a root on the circle")
+        raise CensusContradiction("winding count met a root on the circle")
     chain = polys.signed_remainder_chain(u, w)
     return polys.chain_variations_at(chain, -1) - polys.chain_variations_at(chain, 1)
+
+
+def _chebyshev_series(coeffs, basis):
+    """sum_j coeffs[j] * basis(j), for basis _chebyshev_t or _chebyshev_u."""
+    out = ()
+    for j, c in enumerate(coeffs):
+        if c:
+            out = polys.add(out, polys.scale(basis(j), c))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -28,8 +28,6 @@ from .spectrum import (
 )
 from .weyl import is_weyl_member
 
-DISPLAY_WIDTH = Fraction(1, 10**9)
-
 
 def _parse_tuple(text: str) -> tuple:
     text = (text or "").strip()

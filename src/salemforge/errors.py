@@ -21,10 +21,6 @@ class NoSplitPoint(SalemforgeError):
     """No interior point of an interval avoids the roots of the given polynomials."""
 
 
-class DegenerateSchurStep(SalemforgeError):
-    """A Schur-Cohn leading parameter vanished; caller must use a fallback."""
-
-
 class InvalidOrbitData(SalemforgeError):
     """Orbit data violates d >= 1, n_i >= 1 or m <= 2d-1."""
 

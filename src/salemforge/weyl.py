@@ -91,11 +91,6 @@ def reflection_matrix(alpha) -> tuple:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def cremona_involution(n: int) -> tuple:
-    """The quadratic generator on indices (1, 2, 3), padded by the identity."""
-    return cremona_involution_on((1, 2, 3), n)
-
-
 def cremona_involution_on(indices, n: int) -> tuple:
     """Quadratic generator acting on e0 and three chosen exceptional indices."""
     i, j, k = indices

@@ -8,13 +8,13 @@ complex pairs of modulus sqrt(m/k)), which is the independent oracle.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from salemforge import census as cen
 from salemforge import polys
 from salemforge.census import UnitCircleCensus, unit_circle_census
-from salemforge.errors import CensusContradiction, DegenerateSchurStep
+from salemforge.errors import CensusContradiction
 
 
 def C(i, o, u):
@@ -52,23 +52,26 @@ def test_reciprocal_pair_without_circle_roots():
     assert unit_circle_census(p) == C(1, 0, 1)
 
 
-def test_degenerate_schur_step_falls_back():
-    # roots 2, 3, 1/6: |a_0| == |a_lead| so the first Schur-Cohn step
-    # degenerates, yet there is no reciprocal pair to extract
+def test_equal_end_coefficients_without_reciprocal_pair():
+    # roots 2, 3, 1/6: |a_0| == |a_lead| like every auxiliary polynomial's
+    # factors, yet there is no reciprocal pair to extract
     p = polys.mul_many([(-2, 1), (-3, 1), (-1, 6)])
-    with pytest.raises(DegenerateSchurStep):
-        cen._cohn_inside(p)
     assert unit_circle_census(p) == C(1, 0, 2)
 
 
-def test_half_transform_identity():
-    # s = z^4 + 3z^3 + z^2 + 3z + 1 is palindromic: s(z) = z^2 g(z + 1/z)
-    s = (1, 3, 1, 3, 1)
-    g = cen.half_transform(s)
-    x = Fraction(7, 3)
-    z = Fraction(5, 2)
-    assert polys.eval_at(s, z) == z**2 * polys.eval_at(g, z + 1 / z)
-    assert polys.eval_at(g, x) == polys.eval_at(g, x)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+    st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+)
+@settings(max_examples=60, deadline=None)
+def test_chebyshev_series_identity(coeffs, z):
+    # with c = (z + 1/z)/2: T_j(c) = (z^j + z^-j)/2 and
+    # U_{j-1}(c) (z - 1/z)/2 = (z^j - z^-j)/2, the identities both halves use
+    c = (z + 1 / z) / 2
+    even = polys.eval_at(cen._chebyshev_series(coeffs, cen._chebyshev_t), c)
+    odd = polys.eval_at(cen._chebyshev_series(coeffs, cen._chebyshev_u), c) * (z - 1 / z) / 2
+    assert even == sum(a * (z**j + z**-j) / 2 for j, a in enumerate(coeffs))
+    assert odd == sum(a * (z ** (j + 1) - z ** -(j + 1)) / 2 for j, a in enumerate(coeffs))
 
 
 # --- randomized factored inputs with known censuses ---------------------
@@ -126,18 +129,57 @@ def test_census_additive_over_products(fs, gs):
 
 @given(st.lists(rational_roots, min_size=1, max_size=5))
 @settings(max_examples=80, deadline=None)
-def test_cohn_and_winding_agree(roots):
-    # avoid circle roots so both methods are applicable
+def test_winding_matches_constructed_roots(roots):
+    # the winding count needs a cofactor without circle roots
     roots = [(a, b) for a, b in roots if abs(a) != b]
     if not roots:
         return
     p = polys.mul_many([(-a, b) for a, b in roots])
     expect = sum(1 for a, b in roots if abs(a) < b)
     assert cen._winding_inside(p) == expect
-    try:
-        assert cen._cohn_inside(p) == expect
-    except DegenerateSchurStep:
-        pass
+
+
+def inversion_closed_factors():
+    """Palindromic factors with known censuses, plus z - 1 and z + 1."""
+
+    def circle_pair(ka):
+        k, a = ka  # k z^2 - a z + k, |a| < 2k: a conjugate pair on the circle
+        return ((k, -a, k), C(0, 2, 0)) if abs(a) < 2 * k else None
+
+    def real_pair(pq):
+        p, q = pq  # (q z - p)(p z - q): roots p/q and q/p
+        return (polys.mul((-p, q), (-q, p)), C(1, 0, 1)) if abs(p) != q else None
+
+    def quadruple(mka):
+        m, k, a = mka  # complex roots of modulus sqrt(k/m) and their inverses
+        if m == k or a * a >= 4 * m * k:
+            return None
+        return polys.mul((k, -a, m), (m, -a, k)), C(2, 0, 2)
+
+    return st.one_of(
+        st.tuples(st.integers(1, 4), st.integers(-7, 7)).map(circle_pair),
+        st.tuples(st.integers(-6, 6).filter(bool), st.integers(1, 6)).map(real_pair),
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(-4, 4)).map(quadruple),
+        st.sampled_from([((-1, 1), C(0, 1, 0)), ((1, 1), C(0, 1, 0))]),
+    ).filter(lambda v: v is not None)
+
+
+@given(st.lists(inversion_closed_factors(), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_self_inversive_census_matches_constructed_roots(factors):
+    s = polys.mul_many([f for f, _ in factors])
+    assume(polys.degree(polys.gcd(s, polys.derivative(s))) == 0)
+    expect = C(0, 0, 0)
+    for _, loc in factors:
+        expect = expect + loc
+    assert cen._census_self_inversive(s) == expect
+
+
+@pytest.mark.parametrize("s", [(1, 2, 3), (1, -2, 1), (2, 1, 1, 2, 5)])
+def test_self_inversive_census_rejects_non_palindrome(s):
+    # (1, -2, 1) = (z - 1)^2 keeps odd degree once one z - 1 is stripped
+    with pytest.raises(CensusContradiction, match="even palindrome"):
+        cen._census_self_inversive(s)
 
 
 def test_strip_cyclotomic_factors():

@@ -5,7 +5,10 @@ Fraction-arithmetic implementation that the integer evaluation core
 replaced; interval endpoints are part of every payload, so the refinement
 path is pinned along with the verdicts.  The `charpoly`, `weyl` and
 `matrix` digests were taken from the Bareiss-interpolation `char_poly` and
-the dense `mat_mul` that the sparse Berkowitz kernels replaced.
+the dense `mat_mul` that the sparse Berkowitz kernels replaced.  The
+`census` digests were taken with the Schur-Cohn inside count and the
+z + 1/z half transform that the single Chebyshev-series census replaced;
+they cover factors of multiplicity 2 and 3 and orbit data without a tuple.
 """
 
 import hashlib
@@ -24,6 +27,10 @@ CHARPOLY_D5 = ("charpoly", "--d", "5", "--tuple", "2,3,4,5,6,7,8,9")
 CHARPOLY_D5_SHA = "5d1fcfd6b237e1c86a339c310a737936a40a4a92bc3b439ad78a0dcd69f5c62e"
 WEYL_D4 = ("weyl", "--d", "4", "--tuple", "2,3,4,5,6,7")
 WEYL_D4_SHA = "4b7f9dade7c43dbffa90b3ed1982268fa9e564c1c8c8d902c18c9978b42de725"
+CENSUS_D5 = ("census", "--d", "5", "--tuple", "4,4,4,4")
+CENSUS_D5_SHA = "902d8855cf8add1d57877e8a57fe9c4260233f1c324cc2f2227c392f357b69e7"
+CLASSIFY_D5 = ("classify", "--d", "5", "--tuple", "3,3,3")
+CLASSIFY_D5_SHA = "c8084a972f96291a33ffe0dc756a62c96a3a5dbfdfb028f9eea104470f9a5fe2"
 
 GOLDEN = [
     (REALIZE_D4, REALIZE_D4_SHA),
@@ -44,7 +51,15 @@ GOLDEN = [
     (("classify", "--d", "4", "--tuple", "2,3,4"), "f1b823ff23b637a60b1df5f1e76c0edbae9847a752915d2340478d6b188c1b4e"),
     (("classify", "--d", "5", "--tuple", ""), "d506d577efb28cb0b7dd3aab0d2ad8f8d946123caee62b556e4e92fe46521fd8"),
     (("classify", "--d", "5", "--tuple", "2,3"), "e0a9b1422a8e63d833b76f4895a5993e6a76df87a1ce4a7f399b9edba62070c4"),
-    (("classify", "--d", "5", "--tuple", "3,3,3"), "c8084a972f96291a33ffe0dc756a62c96a3a5dbfdfb028f9eea104470f9a5fe2"),
+    (CLASSIFY_D5, CLASSIFY_D5_SHA),
+    (("census", "--d", "1", "--tuple", ""), "24eb8ee57f3765e507c9ac75f39ec8429045eac3396d6afb8474b768271677dc"),
+    (("census", "--d", "3", "--tuple", "1,1,1,1"), "d3357c36f522ea3c4b2d31639ca60edb0e387fcd6846c6b8e4444d2e653b8597"),
+    (("census", "--d", "4", "--tuple", "2,2,2"), "3282bc97bcb0cad2955be090521aadb699870ab010a09a30fc587524378e55b9"),
+    (CENSUS_D5, CENSUS_D5_SHA),
+    (
+        ("census", "--d", "5", "--tuple", "2,3,4,5,6,7,8,9"),
+        "70dbf370af1b7fad45c07d36acad1b9eddd4ff34121988f42fe74982e990c7d5",
+    ),
     (
         ("charpoly", "--d", "4", "--tuple", "2,3,4,5,6,7"),
         "4c6537c32f0dc8914344d8269b4ca5d06eb06bfc91e7186f1a6c35ca7ddc82aa",
@@ -62,6 +77,7 @@ GOLDEN = [
     ),
 ]
 MATRIX_PATHS = [(CHARPOLY_D5, CHARPOLY_D5_SHA), (WEYL_D4, WEYL_D4_SHA)]
+CENSUS_PATHS = [(CENSUS_D5, CENSUS_D5_SHA), (CLASSIFY_D5, CLASSIFY_D5_SHA)]
 
 
 def sha256(text: str) -> str:
@@ -97,4 +113,9 @@ def test_realize_d5_under_optimize_flag():
 
 @pytest.mark.parametrize("argv,digest", MATRIX_PATHS, ids=[a[0] for a, _ in MATRIX_PATHS])
 def test_matrix_paths_under_optimize_flag(argv, digest):
+    run_optimized(argv, digest)
+
+
+@pytest.mark.parametrize("argv,digest", CENSUS_PATHS, ids=[a[0] for a, _ in CENSUS_PATHS])
+def test_census_paths_under_optimize_flag(argv, digest):
     run_optimized(argv, digest)
