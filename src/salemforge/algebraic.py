@@ -133,6 +133,8 @@ def refine(a: AlgebraicReal, width, extra_avoid=()) -> AlgebraicReal:
     split point comes from `_split_point` instead.
     """
     width = Fraction(width)
+    if width <= 0:
+        raise ValueError(f"refinement width must be positive, got {width}")
     if a.is_exact:
         return a
     f = a.defining

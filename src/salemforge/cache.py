@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 from . import polys
-from .algebraic import AlgebraicReal, RationalInterval
+from .algebraic import GREATER, AlgebraicReal, RationalInterval, compare_with_rational
 from .census import UnitCircleCensus
 from .errors import EndpointIsRoot, InvalidKey, StoreCorrupt
 from .serialize import (
@@ -28,6 +28,7 @@ from .serialize import (
 
 SCHEMA = 1
 ENV_VAR = "SALEMFORGE_CACHE"
+LABELS = ("pisot_like", "salem_like", "undetermined")  # every label census._label gives
 
 
 class _FileLock:
@@ -92,19 +93,22 @@ def record_to_entry(record: dict):
     from .spectrum import SpectrumEntry  # local: avoid cycle
 
     key = record_key(record)
+    key_poly = key.polynomial()
     try:
         poly = strings_to_poly(record["poly"])
         lo = str_to_frac(record["interval"]["lo"])
         hi = str_to_frac(record["interval"]["hi"])
         census = UnitCircleCensus(**record["census"])
         label = record["label"]
+        fits = label in LABELS and census.total == polys.degree(key_poly) and census.outside == 1
     except (KeyError, ValueError, TypeError) as exc:
         raise StoreCorrupt(f"malformed record: {exc}") from exc
+    if not fits:
+        raise StoreCorrupt("stored label or census does not fit the key's polynomial")
     try:
-        if lo == hi:
-            if polys.eval_at(poly, lo) != 0:
-                raise StoreCorrupt("stored exact value is not a root")
-        elif polys.sturm_count(poly, lo, hi) != 1:
+        # an exact interval (lo == hi) counts no root: no entry has one, as
+        # the key's polynomial (monic, constant term -1) has no rational root > 2
+        if polys.sturm_count(poly, lo, hi) != 1:
             raise StoreCorrupt("stored interval does not isolate a root")
         elif polys.sturm_chain(poly)[0] != poly:
             # refinement bisects by sign, which needs a simple root
@@ -112,6 +116,9 @@ def record_to_entry(record: dict):
     except (ValueError, EndpointIsRoot) as exc:  # reversed interval, root at an endpoint
         raise StoreCorrupt(f"stored interval is unusable: {exc}") from exc
     value = AlgebraicReal(poly, RationalInterval(lo, hi))
+    # a root of a factor of the key's polynomial exceeding 2, as _dominant_root certifies
+    if polys.pseudo_divmod(key_poly, poly)[1] or compare_with_rational(value, 2) != GREATER:
+        raise StoreCorrupt("stored value is not the dominant root of the key's polynomial")
     return SpectrumEntry(key, value, census, label)
 
 

@@ -43,18 +43,18 @@ def _parse_width(text: str) -> Fraction:
     try:
         if "/" in text:
             num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(text)
+            width = Fraction(int(num), int(den))
+        else:
+            width = Fraction(text)
+        if width <= 0:
+            raise ValueError("width must be positive")
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad width {text!r}: {exc}")
+    return width
 
 
-def _emit(payload, args) -> None:
-    if getattr(args, "format", "json") == "json":
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        raise SystemExit("CSV output is only available for table commands")
+def _emit(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _entry_row(entry: SpectrumEntry) -> dict:
@@ -91,19 +91,19 @@ def emit_table(entries, fmt: str) -> str:
 
 def cmd_poly(args) -> int:
     o = OrbitData(args.d, args.tuple)
-    _emit({"coeffs": poly_to_strings(auxiliary_polynomial(o))}, args)
+    _emit({"coeffs": poly_to_strings(auxiliary_polynomial(o))})
     return 0
 
 
 def cmd_matrix(args) -> int:
     o = OrbitData(args.d, args.tuple)
-    _emit(matrices.to_json_dict(jonquieres_matrix(o), basis_labels(o)), args)
+    _emit(matrices.to_json_dict(jonquieres_matrix(o), basis_labels(o)))
     return 0
 
 
 def cmd_charpoly(args) -> int:
     o = OrbitData(args.d, args.tuple)
-    _emit({"coeffs": poly_to_strings(matrices.char_poly(jonquieres_matrix(o)))}, args)
+    _emit({"coeffs": poly_to_strings(matrices.char_poly(jonquieres_matrix(o)))})
     return 0
 
 
@@ -118,8 +118,7 @@ def cmd_lambda(args) -> int:
             "poly": poly_to_strings(value.defining),
             "interval": interval_to_dict(value.interval),
             "decimal": value.decimal(digits),
-        },
-        args,
+        }
     )
     return 0
 
@@ -127,7 +126,7 @@ def cmd_lambda(args) -> int:
 def cmd_census(args) -> int:
     o = OrbitData(args.d, args.tuple)
     c = unit_circle_census(auxiliary_polynomial(o))
-    _emit({k: str(v) for k, v in census_to_dict(c).items()}, args)
+    _emit({k: str(v) for k, v in census_to_dict(c).items()})
     return 0
 
 
@@ -141,7 +140,7 @@ def cmd_classify(args) -> int:
             store.put(entry)
     payload = _entry_row(entry)
     payload["poly"] = poly_to_strings(entry.value.defining)
-    _emit(payload, args)
+    _emit(payload)
     return 0
 
 
@@ -156,7 +155,7 @@ def cmd_weyl(args) -> int:
     else:
         payload["reason"] = certificate.reason
         payload["terminal"] = matrices.to_json_dict(certificate.terminal)
-    _emit(payload, args)
+    _emit(payload)
     return 0
 
 
@@ -173,22 +172,24 @@ def cmd_spectrum(args) -> int:
 def cmd_realize(args) -> int:
     key = SpectrumKey(args.d, args.tuple)
     report = verify_realization(key)
-    _emit(report.to_json_dict(), args)
+    _emit(report.to_json_dict())
     return 0
 
 
 def cmd_cache(args) -> int:
     store = default_store(args.cache)
     if store is None:
-        raise SystemExit("no cache path: pass --cache or set SALEMFORGE_CACHE")
+        raise SalemforgeError("no cache path: pass --cache or set SALEMFORGE_CACHE")
     if args.tuple is not None and args.d is not None:
+        if args.format != "json":
+            raise SalemforgeError("a cache lookup prints JSON only")
         entry = store.get(SpectrumKey(args.d, args.tuple))
         if entry is None:
-            _emit({"present": False}, args)
+            _emit({"present": False})
         else:
             payload = _entry_row(entry)
             payload["present"] = True
-            _emit(payload, args)
+            _emit(payload)
         return 0
     sys.stdout.write(emit_table(store.entries(), args.format))
     return 0
@@ -203,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tuple_required=True, with_d=True):
-        if with_d:
-            p.add_argument("--d", type=int, required=True, help="degree d >= 1")
+    def common(p, tuple_required=True, formats=("json",)):
+        p.add_argument("--d", type=int, required=True, help="degree d >= 1")
         p.add_argument(
             "--tuple",
             type=_parse_tuple,
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
             required=tuple_required,
             help="comma-separated orbit lengths n_2,...,n_m (may be empty)",
         )
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--cache", default=None, help="JSONL cache path (or SALEMFORGE_CACHE)")
 
     p = sub.add_parser("poly", help="auxiliary polynomial coefficients")
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("spectrum", help="ordered prefix of a level set")
-    common(p, tuple_required=False)
+    common(p, tuple_required=False, formats=("json", "csv"))
     p.add_argument("--m", type=int, required=True, help="level index 1..2d-1")
     p.add_argument("--limit", type=int, required=True, help="number of members")
     p.add_argument("--bound", type=int, required=True, help="largest allowed entry")

@@ -188,27 +188,16 @@ def eval_interval(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple:
     return Fraction(alo, scale), Fraction(ahi, scale)
 
 
-def _outward(lo: Fraction, hi: Fraction, k: int) -> tuple:
-    """[lo, hi] rounded outward to multiples of 2**-k, as (lo', hi', 2**k)."""
-    return (lo.numerator << k) // lo.denominator, -((-hi.numerator << k) // hi.denominator), 1 << k
-
-
 def interval_sign(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     """Sign of p on [lo, hi] certified by interval Horner; 0 if undecided.
 
-    The endpoints are first rounded outward to 2**-64, which keeps the
-    integers short; a wider interval only widens the bounds, so a sign it
-    certifies holds on [lo, hi].  Only if that is undecided are the exact
-    endpoints tried, which decides exactly as eval_interval does.
+    Horner runs once, on the exact endpoints.  Interval Horner is
+    inclusion-isotone, so no rounded superset of [lo, hi] certifies a sign
+    that the exact interval does not.
     """
     if not p:
         return 0
-    lo, hi = Fraction(lo), Fraction(hi)
-    return _bounds_sign(p, *_outward(lo, hi, 64)) or _bounds_sign(p, *common_den(lo, hi))
-
-
-def _bounds_sign(p: IntPoly, lo: int, hi: int, den: int) -> int:
-    alo, ahi = _interval_hom(p, lo, hi, den)
+    alo, ahi = _interval_hom(p, *common_den(Fraction(lo), Fraction(hi)))
     return 1 if alo > 0 else -1 if ahi < 0 else 0
 
 

@@ -68,9 +68,8 @@ def collinearity_sum(t1: ResidueElement, t2: ResidueElement, t3: ResidueElement)
 
 def _context_for(key: SpectrumKey) -> ResidueContext:
     denominators = [(-1, 1)] + [polys.binomial_xn_plus_1(n) for n in key.tuple]
-    # the root keeps its isolating interval; residue_is_zero and
-    # residue_sign narrow it only as far as a sign needs, and zero
-    # verdicts go through the gcd certificate
+    # the root keeps its isolating interval; residue_sign narrows it only
+    # as far as a sign needs, and zero verdicts go through the gcd certificate
     return reduced_modulus_context(key.polynomial(), denominators)
 
 

@@ -11,6 +11,7 @@ way round, to certify nonzero values and signs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -34,8 +35,8 @@ class ResidueContext:
             raise ValueError("modulus must be nonconstant")
         if not polys.is_monic(modulus):
             raise ValueError("modulus must be monic")
-        # zero certificates below rely on the root being a root of the
-        # modulus isolated by its interval, i.e. root.defining | modulus
+        # evaluation at the root is well defined on Q[X]/(modulus) only if
+        # the root is a root of the modulus, i.e. root.defining | modulus
         if root.is_exact:
             if polys.eval_at(modulus, root.exact_value) != 0:
                 raise ValueError("root is not a root of the modulus")
@@ -199,47 +200,29 @@ def residue_reduce(coeffs, modulus, root: AlgebraicReal | None = None) -> Residu
 
 
 def residue_is_zero(e: ResidueElement) -> bool:
-    """True iff the representative vanishes at the distinguished root.
-
-    Zero verdicts are certified by gcd + Sturm; nonzero verdicts by
-    certified interval signs or a trivial gcd.
-    """
-    if e.is_zero_poly:
-        return True
-    ctx = e.context
-    # fast nonzero path: certified interval signs excluding 0
-    root = ctx.root
-    for _ in range(3):
-        if root.is_exact:
-            return polys.eval_at(e.num, root.exact_value) == 0
-        if polys.interval_sign(e.num, root.interval.lo, root.interval.hi):
-            ctx._narrow_root(root)
-            return False
-        root = refine(root, root.interval.width / 2**20)
-    ctx._narrow_root(root)
-    # certificate path
-    g = polys.gcd(e.num, ctx.modulus)
-    if polys.degree(g) < 1:
-        return False
-    root = refine_clear_of(root, g)
-    ctx._narrow_root(root)
-    return polys.sturm_count(g, root.interval.lo, root.interval.hi) >= 1
+    """True iff the representative vanishes at the distinguished root."""
+    return residue_sign(e) == 0
 
 
 def residue_sign(e: ResidueElement) -> int:
-    """Exact sign of the representative at the distinguished root."""
-    if residue_is_zero(e):
+    """Exact sign of the representative at the distinguished root.
+
+    Interval Horner certifies nonzero signs, narrowing the root 2**-20 per
+    undecided round; after three such rounds `_vanishes_at` certifies a
+    zero or rules it out, so a zero verdict never rests on an interval.
+    """
+    if e.is_zero_poly:
         return 0
     ctx = e.context
     root = ctx.root
-    while True:
-        if root.is_exact:
-            return polys.sign(polys.eval_at(e.num, root.exact_value))
+    if root.is_exact:
+        return polys.sign(polys.eval_at(e.num, root.exact_value))
+    for undecided in itertools.count(1):
         s = polys.interval_sign(e.num, root.interval.lo, root.interval.hi)
-        if s:
+        if s or (undecided == 3 and _vanishes_at(e.num, root)):
             ctx._narrow_root(root)
             return s
-        root = refine(root, root.interval.width / 2**10)
+        root = refine(root, root.interval.width / 2**20)
 
 
 def reduced_modulus_context(p, denominators) -> ResidueContext:
@@ -273,6 +256,8 @@ def reduced_modulus_context(p, denominators) -> ResidueContext:
 
 
 def _vanishes_at(g, root: AlgebraicReal) -> bool:
+    """Zero certificate: g(root) == 0 iff gcd(g, root.defining) has a root
+    in root's interval, once the interval's endpoints are clear of it."""
     if root.is_exact:
         return polys.eval_at(g, root.exact_value) == 0
     common = polys.gcd(g, root.defining)

@@ -162,6 +162,8 @@ def enumerate_level_prefix(
     """
     if not 1 <= m <= 2 * d - 1:
         raise InvalidKey(f"level m = {m} out of range for d = {d}")
+    if limit < 1:
+        raise InvalidKey(f"limit = {limit} must be at least 1")
     keys = []
     for t in _level_tuples(d, m, bound, reading):
         keys.append(SpectrumKey(d, t))

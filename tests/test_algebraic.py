@@ -88,6 +88,15 @@ def test_refine_exact_noop():
     assert refine(a, Fraction(1, 10**9)) is a
 
 
+@pytest.mark.parametrize("width", [0, Fraction(-1, 2)])
+def test_refine_rejects_non_positive_width(width):
+    # bisection would never reach a width <= 0
+    with pytest.raises(ValueError, match="positive"):
+        refine(isolate_largest_real_root(GOLDEN), width)
+    with pytest.raises(ValueError, match="positive"):
+        refine(AlgebraicReal.from_rational(5), width)
+
+
 def test_split_point_exhausted_is_typed():
     # the zero polynomial vanishes at every candidate point
     with pytest.raises(NoSplitPoint):

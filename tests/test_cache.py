@@ -186,9 +186,10 @@ def test_entries_warn_once_per_corrupt_line(tmp_path):
     assert [str(w.message).split(": ")[0] for w in caught] == [f"{path}:{n}" for n in (3, 4, 5)]
 
 
-@pytest.mark.parametrize("lo,hi", [("2", "3"), ("1", "2"), ("3", "1")])
+@pytest.mark.parametrize("lo,hi", [("2", "3"), ("1", "2"), ("3", "1"), ("2", "2")])
 def test_unusable_interval_is_skipped_with_warning(tmp_path, lo, hi):
-    # poly X - 2 stored with its root at an endpoint, or over a reversed interval
+    # poly X - 2 stored with its root at an endpoint, over a reversed
+    # interval, or as the exact value 2, which is no root of the key's poly
     path = tmp_path / "cache.jsonl"
     store = SpectrumStore(path)
     store.put(make_entry(4, (2,)))
@@ -199,6 +200,35 @@ def test_unusable_interval_is_skipped_with_warning(tmp_path, lo, hi):
     got, caught = lookup(store, SpectrumKey(4, (2,)))
     assert got is not None and got.value.interval.lo != 2
     assert len(caught) == 1
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        # X + 1 divides the key's polynomial, but its root -1 is not dominant
+        ({"poly": ["1", "1"], "interval": {"lo": "-2", "hi": "0"}}, "dominant root"),
+        # the key's polynomial with the interval of its other real root, -1
+        ({"interval": {"lo": "-2", "hi": "0"}}, "dominant root"),
+        # the dominant root of X^2 - 3X - 1, which does not divide the key's polynomial
+        ({"poly": ["-1", "-3", "1"], "interval": {"lo": "3", "hi": "4"}}, "dominant root"),
+        ({"census": {"inside": 5, "on": 3, "outside": 1}}, "does not fit"),
+        ({"census": {"inside": 4, "on": 2, "outside": 2}}, "does not fit"),
+        ({"label": "salem"}, "does not fit"),
+        ({"poly": ["0"], "interval": {"lo": "5", "hi": "5"}}, "unusable"),
+        ({"census": {"inside": None, "on": 2, "outside": 1}}, "malformed"),
+    ],
+)
+def test_record_not_tied_to_its_key_is_skipped(tmp_path, change, reason):
+    # the key's polynomial (X + 1)(X^2 - X + 1)(X^5 - 3X^4 - ...) has the
+    # real roots -1 and lambda; its census is (4, 3, 1)
+    entry = make_entry(4, (3, 3))
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(entry)
+    append_record(path, {**stored_record(path), **change})
+    got, caught = lookup(store, entry.key)
+    assert got is not None and got.value == entry.value
+    assert len(caught) == 1 and reason in caught[0]
 
 
 def test_get_does_not_return_permuted_tuple(tmp_path):

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from salemforge.cli import main
 
 
@@ -119,6 +121,50 @@ def test_spectrum_bound_too_small_exit(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_spectrum_non_positive_limit_exits_2(capsys, limit):
+    code, out, err = run_cli(
+        capsys, "spectrum", "--d", "4", "--m", "2", "--limit", limit, "--bound", "10"
+    )
+    assert code == 2 and out == ""
+    assert "error" in err
+
+
+def usage_exit_code(*argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code
+
+
+@pytest.mark.parametrize("width", ["--width=0", "--width=-1/2", "--width=0/5"])
+def test_non_positive_width_exits_2(capsys, width):
+    assert usage_exit_code("lambda", "--d", "4", "--tuple", "2", width) == 2
+    assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["poly", "census", "classify", "realize", "lambda"])
+def test_csv_on_json_command_exits_2(capsys, command):
+    assert usage_exit_code(command, "--d", "4", "--tuple", "2", "--format", "csv") == 2
+    code, out, _ = run_cli(capsys, "poly", "--d", "4", "--tuple", "2", "--format", "json")
+    assert code == 0 and json.loads(out) == {"coeffs": ["-1", "-2", "0", "-3", "1"]}
+
+
+def test_cache_without_path_exits_2(capsys, monkeypatch):
+    monkeypatch.delenv("SALEMFORGE_CACHE", raising=False)
+    code, out, err = run_cli(capsys, "cache")
+    assert code == 2 and out == ""
+    assert "no cache path" in err
+
+
+def test_cache_lookup_as_csv_exits_2(capsys, tmp_path):
+    cache = str(tmp_path / "c.jsonl")
+    code, out, err = run_cli(capsys, "cache", "--d", "4", "--tuple", "2", "--cache", cache, "--format", "csv")
+    assert code == 2 and out == ""
+    assert "error" in err
+    code, out, _ = run_cli(capsys, "cache", "--cache", cache, "--format", "csv")
+    assert code == 0 and out == "d,tuple,interval_lo,interval_hi,census,label\n"
 
 
 def test_deterministic_output(capsys):

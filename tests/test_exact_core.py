@@ -195,6 +195,11 @@ def ordered(a, b):
     return (a, b) if a <= b else (b, a)
 
 
+def outward(lo, hi, k):
+    """[lo, hi] rounded outward to multiples of 2^-k, as (lo', hi', 2^k)."""
+    return (lo.numerator << k) // lo.denominator, -((-hi.numerator << k) // hi.denominator), 1 << k
+
+
 @given(polys_small, rationals, rationals)
 @settings(max_examples=150, deadline=None)
 def test_eval_interval_bounds_match_oracle(p, a, b):
@@ -208,7 +213,7 @@ def test_interval_sign_sound_and_complete(p, a, b):
     lo, hi = ordered(a, b)
     s = polys.interval_sign(p, lo, hi)
     blo, bhi = oracle_eval_interval(p, lo, hi)
-    # complete: whatever the exact bounds decide, the ladder decides alike
+    # complete: whatever the exact bounds decide, interval_sign decides alike
     assert s == (1 if blo > 0 else -1 if bhi < 0 else 0)
     # sound: sampled points of [lo, hi] carry the certified sign
     if s:
@@ -235,7 +240,7 @@ def test_interval_sign_undecided_across_a_root(q, n, d, k1, k2):
 
 
 def test_interval_sign_decided_by_coarse_rung_on_deep_interval():
-    # X - 3 on an interval of width 2^-400 around 10: the 64-bit rung decides
+    # X - 3 on an interval of width 2^-400 around 10: 400-bit endpoints decide
     lo = Fraction(10 * 2**400 - 1, 2**400)
     hi = Fraction(10 * 2**400 + 1, 2**400)
     assert polys.interval_sign((-3, 1), lo, hi) == 1
@@ -268,9 +273,9 @@ def test_interval_hom_nonnegative_matches_oracle(p, a, b):
 @given(polys_small.filter(bool), nonneg_rationals, st.integers(0, 400), st.integers(0, 400))
 @settings(max_examples=150, deadline=None)
 def test_interval_hom_nonnegative_on_rounded_deep_intervals(p, x, k1, k2):
-    # a deep interval around x >= 0 rounded outward to 2^-64, as interval_sign does
+    # a deep interval around x >= 0 rounded outward to 2^-64
     lo, hi = max(x - Fraction(1, 2**k1), Fraction(0)), x + Fraction(1, 3 * 2**k2)
-    ilo, ihi, den = polys._outward(lo, hi, 64)
+    ilo, ihi, den = outward(lo, hi, 64)
     assert ilo >= 0
     alo, ahi = polys._interval_hom(p, ilo, ihi, den)
     scale = den ** polys.degree(p)
@@ -301,9 +306,26 @@ def test_interval_sign_exact_rung_decides_what_64_bits_cannot():
     # interval contains the root 1/3, so only the exact endpoints decide
     p = (-1, 3)
     lo, hi = Fraction(1, 3) + Fraction(1, 2**100), Fraction(1, 3) + Fraction(1, 2**99)
-    assert polys._bounds_sign(p, *polys._outward(lo, hi, 64)) == 0
+    alo, ahi = polys._interval_hom(p, *outward(lo, hi, 64))
+    assert alo <= 0 <= ahi
     assert polys.interval_sign(p, lo, hi) == 1
     assert polys.interval_sign(polys.neg(p), lo, hi) == -1
+
+
+@given(
+    polys_small.filter(bool),
+    st.one_of(rationals, small_rationals),
+    st.one_of(rationals, small_rationals),
+    st.integers(1, 128),
+)
+@settings(max_examples=250, deadline=None)
+def test_interval_sign_decides_whatever_a_rounded_superset_decides(p, a, b, k):
+    # interval Horner is inclusion-isotone: a sign certified on [lo, hi]
+    # rounded outward to 2^-k is also certified on the exact [lo, hi]
+    lo, hi = ordered(a, b)
+    alo, ahi = polys._interval_hom(p, *outward(lo, hi, k))
+    if alo > 0 or ahi < 0:
+        assert polys.interval_sign(p, lo, hi) == (1 if alo > 0 else -1)
 
 
 # -- refinement ------------------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salemforge import polys
+from salemforge import polys, residues
+from salemforge.algebraic import compare_with_rational, isolate_largest_real_root
 from salemforge.errors import ModulusMismatch, NotInvertible, NotIsolating
 from salemforge.residues import (
     ResidueContext,
@@ -182,6 +183,35 @@ def test_reduce_matches_long_division(coeffs):
     expect = long_division_remainder(coeffs, GOLDEN)
     got = e.representative() + [Fraction(0)] * (2 - len(e.representative()))
     assert got == expect
+
+
+def test_certificate_finds_no_zero_then_sign_narrows_on(monkeypatch):
+    # p/q, a continued-fraction convergent of lambda = [3; 3, 3, ...] within
+    # 2^-100: qX - p stays undecided through three rounds, the certificate
+    # rules a zero out, and narrowing goes on until the sign is certified
+    p0, q0, p, q = 1, 0, 3, 1
+    while q * q0 <= 2**100:  # |lambda - p/q| < 1/(q * q0)
+        p0, q0, p, q = p, q, 3 * p + p0, 3 * q + q0
+    certified = []
+    vanishes_at = residues._vanishes_at
+
+    def recorded(g, root):
+        certified.append(vanishes_at(g, root))
+        return certified[-1]
+
+    monkeypatch.setattr(residues, "_vanishes_at", recorded)
+    lam = isolate_largest_real_root(GOLDEN)
+    expect = compare_with_rational(lam, Fraction(p, q))
+    plain = ResidueContext.for_largest_root(GOLDEN)
+    # modulo GOLDEN * (X + 2) the element shares the factor X + 2 with the
+    # modulus, which is the root's defining polynomial, but X + 2 is nonzero
+    # at lambda
+    shared = ResidueContext.for_largest_root(polys.mul(GOLDEN, (2, 1)))
+    for e in (plain.reduce([-p, q]), shared.reduce(polys.mul((2, 1), (-p, q)))):
+        certified.clear()
+        assert not residue_is_zero(e)
+        assert certified == [False]
+        assert residue_sign(e) == expect
 
 
 def test_x_minus_lambda_is_zero_check():

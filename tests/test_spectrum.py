@@ -178,6 +178,11 @@ def test_limit_convergence_not_increasing_raises(monkeypatch):
         verify_limit_convergence(4, (), 2, 12, Fraction(1, 100))
 
 
+def test_limit_convergence_zero_tolerance_raises():
+    with pytest.raises(ValueError, match="positive"):
+        verify_limit_convergence(4, (), 2, 3, 0)
+
+
 def test_limit_convergence_not_reached():
     with pytest.raises(ToleranceNotReached) as exc:
         verify_limit_convergence(4, (), 2, 3, Fraction(1, 10**9))
