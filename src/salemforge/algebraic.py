@@ -107,7 +107,7 @@ def isolate_largest_real_root(p, width=None) -> AlgebraicReal:
         return AlgebraicReal(sf, RationalInterval(root, root))
     bound = polys.cauchy_bound(sf)
     lo, hi = -bound, bound
-    chain = polys.sturm_chain(sf)
+    chain = polys.sturm_chain(p)
     v_lo, v_hi = polys.chain_variations_at(chain, lo), polys.chain_variations_at(chain, hi)
     if v_lo - v_hi == 0:
         raise NoRealRoot(f"{polys.poly_to_string(p)} has no real root")

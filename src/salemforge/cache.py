@@ -110,7 +110,7 @@ def record_to_entry(record: dict):
         # the key's polynomial (monic, constant term -1) has no rational root > 2
         if polys.sturm_count(poly, lo, hi) != 1:
             raise StoreCorrupt("stored interval does not isolate a root")
-        elif polys.sturm_chain(poly)[0] != poly:
+        elif polys.square_free_part(poly) != poly:
             # refinement bisects by sign, which needs a simple root
             raise StoreCorrupt("stored polynomial is not primitive and square-free")
     except (ValueError, EndpointIsRoot) as exc:  # reversed interval, root at an endpoint
@@ -128,11 +128,12 @@ class SpectrumStore:
     def __init__(self, path):
         self.path = Path(path)
 
-    def put(self, entry) -> None:
-        record = entry_to_record(entry)
+    def put(self, *entries) -> None:
+        """Append one record per entry, all under one lock."""
+        lines = "".join(json.dumps(entry_to_record(e)) + "\n" for e in entries)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with _FileLock(self.path) as fh:
-            fh.write(json.dumps(record) + "\n")
+            fh.write(lines)
 
     def _records(self):
         """(line number, parsed record) for each line that parses."""

@@ -70,13 +70,8 @@ def unit_circle_census(p) -> UnitCircleCensus:
 
 
 def _census_square_free(f) -> UnitCircleCensus:
-    if polys.degree(f) <= 0:
-        return _EMPTY
     s = polys.gcd(f, polys.reverse(f))
-    if polys.degree(s) >= 1:
-        h = polys.divexact(f, s)
-    else:
-        h = f
+    h = polys.divexact(f, s)
     out = _census_self_inversive(s) if polys.degree(s) >= 1 else _EMPTY
     if polys.degree(h) >= 1:
         inside = _winding_inside(h)
@@ -217,17 +212,16 @@ def salem_pisot_label(p, strip_degree_bound: int):
 def _label(p, strip_degree_bound: int, on=None):
     """salem_pisot_label's (label, stripped, removed), given p's on-circle count.
 
-    With `on` known, the stripped polynomial needs no census of its own:
-    every root of a cyclotomic factor lies on the circle, so the stripped
-    on-count is `on` less the degrees of the removed factors.
+    Every root of a cyclotomic factor lies on the circle, so Phi_n**k | p
+    forces k * phi(n) <= on: stripping to degree min(strip_degree_bound,
+    on) is exact, and the stripped on-count is `on` less the removed degrees.
     """
-    stripped, removed = strip_cyclotomic_factors(p, strip_degree_bound)
     if on is None:
-        on = unit_circle_census(stripped).on
-    else:
-        on -= sum(mult * euler_phi(n) for n, mult in removed)
-        if on < 0:
-            raise CensusContradiction("stripped cyclotomic roots outnumber the circle roots")
+        on = unit_circle_census(p).on
+    stripped, removed = strip_cyclotomic_factors(p, min(strip_degree_bound, on))
+    on -= sum(mult * euler_phi(n) for n, mult in removed)
+    if on < 0:
+        raise CensusContradiction("stripped cyclotomic roots outnumber the circle roots")
     if on == 0:
         return "pisot_like", stripped, removed
     if is_self_reciprocal(stripped):

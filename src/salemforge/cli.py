@@ -151,10 +151,9 @@ def cmd_weyl(args) -> int:
     if member:
         payload["quadratic_steps"] = certificate.quadratic_steps
         payload["trace"] = certificate.to_json_list()
-        payload["terminal"] = matrices.to_json_dict(certificate.terminal)
     else:
         payload["reason"] = certificate.reason
-        payload["terminal"] = matrices.to_json_dict(certificate.terminal)
+    payload["terminal"] = matrices.to_json_dict(certificate.terminal)
     _emit(payload)
     return 0
 
@@ -163,8 +162,7 @@ def cmd_spectrum(args) -> int:
     entries = enumerate_level_prefix(args.d, args.m, args.limit, args.bound)
     store = default_store(args.cache)
     if store:
-        for entry in entries:
-            store.put(entry)
+        store.put(*entries)
     sys.stdout.write(emit_table(entries, args.format))
     return 0
 

@@ -41,6 +41,10 @@ class NotAnIsometry(SalemforgeError):
     """A matrix handed to the Weyl machinery does not preserve the form."""
 
 
+class RankTooSmall(SalemforgeError, ValueError):
+    """Weyl membership needs lattice rank n >= 3, a matrix of size >= 4."""
+
+
 class InvalidKey(SalemforgeError):
     """A spectrum key violates the preconditions of the requested operation."""
 

@@ -326,9 +326,8 @@ def inverse_mod(a: IntPoly, m: IntPoly):
 
 
 def square_free_part(p: IntPoly) -> IntPoly:
-    if degree(p) <= 0:
-        return primitive(p) if p else ZERO
-    return divexact(primitive(p), gcd(p, derivative(p)))
+    """primitive(p) divided by gcd(p, p'), the last member of sturm_chain(p)."""
+    return divexact(primitive(p), primitive(sturm_chain(p)[-1])) if p else ZERO
 
 
 def square_free_decomposition(p: IntPoly) -> list:
@@ -341,7 +340,7 @@ def square_free_decomposition(p: IntPoly) -> list:
     if degree(p) <= 0:
         return []
     out = []
-    g = gcd(p, derivative(p))
+    g = primitive(sturm_chain(p)[-1])
     if degree(g) == 0:
         return [(p, 1)]
     w = divexact(p, g)
@@ -415,9 +414,13 @@ def chain_variations_at(chain: Sequence[IntPoly], x) -> int:
 
 @lru_cache(maxsize=4096)
 def sturm_chain(p: IntPoly) -> tuple:
-    """Sturm chain of the square-free part of p (counts distinct roots)."""
-    sf = square_free_part(p)
-    return signed_remainder_chain(sf, derivative(sf))
+    """Signed remainder sequence of (q, q') for q = primitive(p), square-free or not.
+
+    Its last member is gcd(p, p') up to a constant; variations between two
+    non-roots count the distinct real roots between them (Basu, Pollack & Roy, Thm 2.50).
+    """
+    p = primitive(p)
+    return signed_remainder_chain(p, derivative(p))
 
 
 def sturm_count(p: IntPoly, lo: Fraction, hi: Fraction) -> int:

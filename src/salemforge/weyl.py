@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import matrices
-from .errors import IndexClash, InvalidRoot, NotAnIsometry
+from .errors import IndexClash, InvalidRoot, NotAnIsometry, RankTooSmall
 from .jonquieres import intersection_form
 
 
@@ -150,10 +150,10 @@ def is_weyl_member(m: tuple):
     """Decide membership with a replayable certificate.
 
     Returns (True, ReductionTrace) or (False, NotReduced).  The input must
-    be square of size >= 4 and preserve the form (NotAnIsometry otherwise).
+    be square of size >= 4 and preserve the form (RankTooSmall, NotAnIsometry otherwise).
     """
     if len(m) < 4:
-        raise ValueError("membership needs lattice rank n >= 3 (size >= 4)")
+        raise RankTooSmall(f"membership needs lattice rank n >= 3 (size >= 4), got size {len(m)}")
     result = reduce(m)
     if isinstance(result, ReductionTrace):
         return True, result

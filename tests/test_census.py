@@ -258,3 +258,45 @@ UNDETERMINED = polys.mul((-1, -3, 1), (2, -3, 2))
 def test_label_from_known_on_count_matches_second_census(p, bound):
     # classify_entry passes the on-count of p in place of a census of the stripped p
     assert cen._label(p, bound, unit_circle_census(p).on) == cen.salem_pisot_label(p, bound)
+
+
+def unbounded_label(p, strip_degree_bound):
+    """_label as defined before the on-bound: strip to the full bound, census the rest."""
+    stripped, removed = cen.strip_cyclotomic_factors(p, strip_degree_bound)
+    if unit_circle_census(stripped).on == 0:
+        return "pisot_like", stripped, removed
+    if cen.is_self_reciprocal(stripped):
+        return "salem_like", stripped, removed
+    return "undetermined", stripped, removed
+
+
+def benchmark_keys():
+    """The 249 sweep orbits, the 26 classify-cache keys and the (4, 3, 10, 30) prefix keys."""
+    import importlib.util
+    from pathlib import Path
+
+    from salemforge.spectrum import SpectrumKey, enumerate_level_prefix
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    keys = [SpectrumKey(d, tuple(t)) for d, t in workloads.sweep_orbits() + workloads.classify_keys()]
+    return keys + [e.key for e in enumerate_level_prefix(4, 3, 10, 30)]
+
+
+def test_on_bounded_strip_matches_unbounded_strip():
+    keys = benchmark_keys()
+    assert len(keys) == 249 + 26 + 10
+    seen = set()
+    for key in keys:
+        p, bound = key.polynomial(), 2 * max(key.tuple, default=2)
+        on = unit_circle_census(p).on
+        got = cen._label(p, bound, on)
+        assert got == unbounded_label(p, bound) == cen.salem_pisot_label(p, bound), key
+        seen.add((got[0], bool(got[2]), on < bound))
+    # both labels, with and without removed factors, and keys where on < bound
+    # (the bound that now applies) as well as on >= bound
+    assert {label for label, _, _ in seen} == {"pisot_like", "salem_like"}
+    assert {removed for _, removed, _ in seen} == {True, False}
+    assert {below for _, _, below in seen} == {True, False}

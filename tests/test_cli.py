@@ -93,6 +93,41 @@ def test_weyl_non_isometry_is_parameter_error(capsys):
     assert "error" in err
 
 
+def test_weyl_below_rank_3_exits_2(capsys):
+    # d = 4 with no orbit gives a 3 x 3 matrix, a lattice of rank 2
+    code, out, err = run_cli(capsys, "weyl", "--d", "4", "--tuple", "")
+    assert code == 2 and out == ""
+    assert err == "error: membership needs lattice rank n >= 3 (size >= 4), got size 3\n"
+
+
+def test_spectrum_cache_writes_one_batch_under_one_lock(capsys, tmp_path, monkeypatch):
+    from salemforge import cache
+    from salemforge.spectrum import enumerate_level_prefix
+
+    argv = ("spectrum", "--d", "4", "--m", "2", "--limit", "4", "--bound", "10")
+    per_entry = cache.SpectrumStore(tmp_path / "per_entry.jsonl")
+    for entry in enumerate_level_prefix(4, 2, 4, 10):
+        per_entry.put(entry)
+    locks = []
+
+    class CountingLock(cache._FileLock):
+        def __enter__(self):
+            locks.append(self.path)
+            return super().__enter__()
+
+    monkeypatch.setattr(cache, "_FileLock", CountingLock)
+    batch = str(tmp_path / "batch.jsonl")
+    code, table, _ = run_cli(capsys, *argv, "--cache", batch)
+    assert code == 0 and len(locks) == 1
+    with open(batch, encoding="utf-8") as fh:
+        assert len(fh.readlines()) == 4
+    assert run_cli(capsys, *argv) == (0, table, "")
+    for fmt in ("json", "csv"):
+        listed = run_cli(capsys, "cache", "--cache", batch, "--format", fmt)
+        assert listed == run_cli(capsys, "cache", "--cache", str(per_entry.path), "--format", fmt)
+        assert listed[0] == 0
+
+
 def test_spectrum_table_json(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--d", "4", "--m", "2", "--limit", "3", "--bound", "10"

@@ -2,8 +2,9 @@
 
 The oracles below are the earlier Fraction implementations, kept verbatim
 in spirit: Horner with a gcd at every step, Fraction interval Horner,
-bisection by full Sturm-chain variations at `_split_point` candidates,
-long division over Q, and the extended Euclidean algorithm over Q[X].
+the classical Sturm chain of the gcd-based square-free part over Q,
+bisection by its variations at `_split_point` candidates, long division
+over Q, and the extended Euclidean algorithm over Q[X].
 The integer core must reproduce their values, bounds, intervals, quotients
 and inverses exactly; `interval_sign` must be sound, and complete wherever
 the exact bounds decide.
@@ -57,10 +58,48 @@ def oracle_split_point(lo, hi, avoid):
     raise AssertionError("could not find an interior non-root point")
 
 
+def oracle_divmod(a, b):
+    """Quotient and remainder over Q, as Fraction coefficient lists."""
+    r, q = [Fraction(c) for c in a], [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c, k = r[-1] / b[-1], len(r) - len(b)
+        q[k] = c
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def oracle_derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def oracle_square_free_part(p):
+    """p / gcd(p, p') by the Euclidean algorithm over Q, made primitive with positive lead."""
+    a, b = [Fraction(c) for c in p], oracle_derivative(p)
+    while b:
+        a, b = b, oracle_divmod(a, b)[1]
+    sf = oracle_divmod(p, a)[0]
+    den = math.lcm(*(c.denominator for c in sf))
+    ints = [int(c * den) for c in sf]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return tuple(c // g for c in ints)
+
+
+def oracle_sturm_chain(p):
+    """Classical Sturm chain sf, sf', -rem, ... of the square-free part, over Q."""
+    chain = [list(oracle_square_free_part(p))]
+    chain.append(oracle_derivative(chain[0]))
+    while chain[-1]:
+        chain.append([-c for c in oracle_divmod(chain[-2], chain[-1])[1]])
+    return chain[:-1]
+
+
 def oracle_refine(defining, lo, hi, width, extra_avoid=()):
     """Sturm-chain bisection over Fraction; returns (lo, hi)."""
     avoid = (defining, *extra_avoid)
-    chain = polys.sturm_chain(defining)
+    chain = oracle_sturm_chain(defining)
     v_lo = oracle_variations(chain, lo)
     while hi - lo > width:
         m = oracle_split_point(lo, hi, avoid)
@@ -186,6 +225,63 @@ def test_chain_variations_match_oracle(p, x):
         return
     chain = polys.sturm_chain(p)
     assert polys.chain_variations_at(chain, x) == oracle_variations(chain, Fraction(x))
+    # the chain of p itself (not of its square-free part) agrees with the
+    # classical chain of the square-free part wherever p does not vanish
+    if oracle_eval(p, Fraction(x)) != 0:
+        assert polys.chain_variations_at(chain, x) == oracle_variations(oracle_sturm_chain(p), Fraction(x))
+
+
+def gcd_square_free_part(p):
+    """square_free_part as defined before it read gcd(p, p') off sturm_chain(p)."""
+    if polys.degree(p) <= 0:
+        return polys.primitive(p) if p else polys.ZERO
+    return polys.divexact(polys.primitive(p), polys.gcd(p, polys.derivative(p)))
+
+
+def gcd_square_free_decomposition(p):
+    """Yun's algorithm with its first gcd taken by polys.gcd, as defined before."""
+    p = polys.primitive(p)
+    if polys.degree(p) <= 0:
+        return []
+    g = polys.gcd(p, polys.derivative(p))
+    if polys.degree(g) == 0:
+        return [(p, 1)]
+    out, i = [], 1
+    w = polys.divexact(p, g)
+    z = polys.sub(polys.divexact(polys.derivative(p), g), polys.derivative(w))
+    while polys.degree(w) > 0:
+        f = polys.gcd(w, z)
+        if polys.degree(f) > 0:
+            out.append((polys.primitive(f), i))
+        w = polys.divexact(w, f)
+        z = polys.sub(polys.divexact(z, f), polys.derivative(w))
+        i += 1
+    return out
+
+
+factors_small = st.lists(st.integers(-6, 6), min_size=2, max_size=4).map(polys.normalize)
+with_repeated_factors = st.lists(st.tuples(factors_small, st.integers(1, 3)), min_size=1, max_size=3).map(
+    lambda fs: polys.mul_many([polys.pow_int(f, k) for f, k in fs if f])
+)
+
+
+@given(with_repeated_factors, small_rationals, small_rationals)
+@settings(max_examples=200, deadline=None)
+def test_square_free_data_from_one_chain_match_gcd_definitions(p, a, b):
+    if polys.degree(p) < 1:
+        return
+    sf = polys.square_free_part(p)
+    assert sf == gcd_square_free_part(p) == oracle_square_free_part(p)
+    decomposition = polys.square_free_decomposition(p)
+    assert decomposition == gcd_square_free_decomposition(p)
+    # the factors rebuild the primitive part of p
+    rebuilt = polys.mul_many([polys.pow_int(f, k) for f, k in decomposition])
+    assert rebuilt == polys.primitive(p)
+    lo, hi = ordered(a, b)
+    if oracle_eval(p, lo) != 0 and oracle_eval(p, hi) != 0:
+        chain = oracle_sturm_chain(p)
+        expect = oracle_variations(chain, lo) - oracle_variations(chain, hi) if lo < hi else 0
+        assert polys.sturm_count(p, lo, hi) == expect
 
 
 # -- interval evaluation ---------------------------------------------------------

@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from salemforge import polys
@@ -48,9 +48,12 @@ def test_sturm_count_matches_sympy_count_roots(p, a, b):
 
 @given(st.one_of(int_polys.map(polys.normalize), repeated))
 @settings(max_examples=80, deadline=None)
+@example(p=(1, -4, 5, 2, -12, 8, 4, -8))
 def test_largest_root_matches_sympy_intervals(p):
     sp = to_sympy(p)
-    intervals = sp.intervals()
+    # refined by sympy itself: Poly.refine_root fails on a rational root
+    # such as 1/2 of (2X - 1)(X + 1)^2(2X^2 - 2X + 1)^2
+    intervals = sp.intervals(eps=sympy.Rational(1, 2**40))
     if not intervals:
         with pytest.raises(NoRealRoot):
             isolate_largest_real_root(p)
@@ -64,8 +67,6 @@ def test_largest_root_matches_sympy_intervals(p):
     assert sp.count_roots(lo, None) == 1
     # an exact root (a, a) may share its endpoint with the interval below it
     (a, b), _ = max(intervals, key=lambda item: (item[0][1], item[0][0]))
-    if a != b:
-        a, b = sp.sqf_part().refine_root(a, b, eps=sympy.Rational(1, 2**40))
     assert max(lo, a) <= min(hi, b)
 
 
