@@ -188,8 +188,9 @@ def eval_interval(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple:
     return Fraction(alo, scale), Fraction(ahi, scale)
 
 
-def interval_sign(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
-    """Sign of p on [lo, hi] certified by interval Horner; 0 if undecided.
+def interval_sign(p: IntPoly, lo: int, hi: int, den: int) -> int:
+    """Sign of p on [lo/den, hi/den] certified by interval Horner; 0 if
+    undecided.
 
     Horner runs once, on the exact endpoints.  Interval Horner is
     inclusion-isotone, so no rounded superset of [lo, hi] certifies a sign
@@ -197,7 +198,7 @@ def interval_sign(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     """
     if not p:
         return 0
-    alo, ahi = _interval_hom(p, *common_den(Fraction(lo), Fraction(hi)))
+    alo, ahi = _interval_hom(p, lo, hi, den)
     return 1 if alo > 0 else -1 if ahi < 0 else 0
 
 

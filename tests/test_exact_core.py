@@ -307,7 +307,7 @@ def test_eval_interval_bounds_match_oracle(p, a, b):
 @settings(max_examples=250, deadline=None)
 def test_interval_sign_sound_and_complete(p, a, b):
     lo, hi = ordered(a, b)
-    s = polys.interval_sign(p, lo, hi)
+    s = polys.interval_sign(p, *polys.common_den(lo, hi))
     blo, bhi = oracle_eval_interval(p, lo, hi)
     # complete: whatever the exact bounds decide, interval_sign decides alike
     assert s == (1 if blo > 0 else -1 if bhi < 0 else 0)
@@ -332,16 +332,16 @@ def test_interval_sign_undecided_across_a_root(q, n, d, k1, k2):
     r = Fraction(n, d)
     p = polys.mul((-n, d), q or (1,))
     lo, hi = r - Fraction(1, 3 * 2**k1), r + Fraction(1, 5 * 2**k2)
-    assert polys.interval_sign(p, lo, hi) == 0
+    assert polys.interval_sign(p, *polys.common_den(lo, hi)) == 0
 
 
 def test_interval_sign_decided_by_coarse_rung_on_deep_interval():
     # X - 3 on an interval of width 2^-400 around 10: 400-bit endpoints decide
     lo = Fraction(10 * 2**400 - 1, 2**400)
     hi = Fraction(10 * 2**400 + 1, 2**400)
-    assert polys.interval_sign((-3, 1), lo, hi) == 1
-    assert polys.interval_sign((3, -1), lo, hi) == -1
-    assert polys.interval_sign((-10, 1), lo, hi) == 0
+    assert polys.interval_sign((-3, 1), *polys.common_den(lo, hi)) == 1
+    assert polys.interval_sign((3, -1), *polys.common_den(lo, hi)) == -1
+    assert polys.interval_sign((-10, 1), *polys.common_den(lo, hi)) == 0
 
 
 nonneg_rationals = st.one_of(
@@ -404,8 +404,8 @@ def test_interval_sign_exact_rung_decides_what_64_bits_cannot():
     lo, hi = Fraction(1, 3) + Fraction(1, 2**100), Fraction(1, 3) + Fraction(1, 2**99)
     alo, ahi = polys._interval_hom(p, *outward(lo, hi, 64))
     assert alo <= 0 <= ahi
-    assert polys.interval_sign(p, lo, hi) == 1
-    assert polys.interval_sign(polys.neg(p), lo, hi) == -1
+    assert polys.interval_sign(p, *polys.common_den(lo, hi)) == 1
+    assert polys.interval_sign(polys.neg(p), *polys.common_den(lo, hi)) == -1
 
 
 @given(
@@ -421,7 +421,7 @@ def test_interval_sign_decides_whatever_a_rounded_superset_decides(p, a, b, k):
     lo, hi = ordered(a, b)
     alo, ahi = polys._interval_hom(p, *outward(lo, hi, k))
     if alo > 0 or ahi < 0:
-        assert polys.interval_sign(p, lo, hi) == (1 if alo > 0 else -1)
+        assert polys.interval_sign(p, *polys.common_den(lo, hi)) == (1 if alo > 0 else -1)
 
 
 # -- refinement ------------------------------------------------------------------

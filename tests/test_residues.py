@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salemforge import polys, residues
-from salemforge.algebraic import compare_with_rational, isolate_largest_real_root
+from salemforge import algebraic, polys, residues
 from salemforge.errors import ModulusMismatch, NotInvertible, NotIsolating
 from salemforge.residues import (
     ResidueContext,
@@ -200,8 +199,11 @@ def test_certificate_finds_no_zero_then_sign_narrows_on(monkeypatch):
         return certified[-1]
 
     monkeypatch.setattr(residues, "_vanishes_at", recorded)
-    lam = isolate_largest_real_root(GOLDEN)
-    expect = compare_with_rational(lam, Fraction(p, q))
+    # a fresh refinement memo, so lambda starts from its isolating interval;
+    # the sign of lambda - p/q = (3 + sqrt(13))/2 - p/q comes from integers
+    monkeypatch.setattr(algebraic, "_MEMO", {})
+    r = 2 * p - 3 * q
+    expect = 1 if r < 0 or 13 * q * q > r * r else -1
     plain = ResidueContext.for_largest_root(GOLDEN)
     # modulo GOLDEN * (X + 2) the element shares the factor X + 2 with the
     # modulus, which is the root's defining polynomial, but X + 2 is nonzero
@@ -294,12 +296,57 @@ def test_realization_verdicts_shared_across_threads():
         assert all(b <= a for a, b in zip(seen, seen[1:]))
 
 
-def test_narrow_root_keeps_the_narrower_interval(ctx):
-    from salemforge.algebraic import refine
-
+def test_narrow_root_keeps_the_narrower_interval(monkeypatch):
+    # the context reads its root from the refinement memo, on a fresh memo
+    # here: a wider cell never replaces a narrower one, and the root cannot
+    # be assigned
+    monkeypatch.setattr(algebraic, "_MEMO", {})
+    ctx = ResidueContext.for_largest_root(GOLDEN)
     wide = ctx.root
-    narrow = refine(wide, wide.interval.width / 2**30)
-    ctx._narrow_root(narrow)
-    assert ctx.root is narrow
-    ctx._narrow_root(refine(wide, wide.interval.width / 2**10))
-    assert ctx.root is narrow
+    narrow = algebraic.refine(wide, wide.interval.width / 2**30)
+    assert ctx.root == narrow
+    wider = algebraic.refine(wide, wide.interval.width / 2**10)
+    algebraic._remember(ctx._slot, algebraic._cell(wider))
+    assert ctx.root == narrow
+    with pytest.raises(AttributeError):
+        ctx.root = wide
+
+
+def sign_within(e, seconds=60):
+    # residue_sign in a daemon thread: a sign loop that stops narrowing
+    # fails here instead of hanging the suite
+    out = []
+    worker = threading.Thread(target=lambda: out.append(residue_sign(e)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert out, f"residue_sign gave no verdict within {seconds} s"
+    return out[0]
+
+
+SQRT2 = (-2, 0, 1)
+
+
+def test_sign_narrows_a_context_whose_interval_does_not_nest(monkeypatch):
+    # the memo holds sqrt(2) on the grid of [1, 2], at [11/8, 23/16]; the
+    # context's [7/5, 3/2] overlaps that cell without nesting, so it narrows
+    # a slot of its own; X - 1.414 needs a cell narrower than 2.1e-4
+    monkeypatch.setattr(algebraic, "_MEMO", {})
+    memo = algebraic.AlgebraicReal(SQRT2, algebraic.RationalInterval(1, 2))
+    algebraic.refine(memo, Fraction(1, 16))
+    own = algebraic.AlgebraicReal(SQRT2, algebraic.RationalInterval(Fraction(7, 5), Fraction(3, 2)))
+    ctx = ResidueContext(SQRT2, own)
+    assert sign_within(ctx.reduce([Fraction(-1414, 1000), 1])) == 1
+    assert sign_within(ctx.reduce([Fraction(-1415, 1000), 1])) == -1
+    assert ctx.root.interval.width <= Fraction(1, 10) / 2**20
+    assert Fraction(7, 5) < ctx.root.interval.lo < ctx.root.interval.hi < Fraction(3, 2)
+
+
+def test_sign_narrows_a_context_whose_memo_entry_was_evicted(monkeypatch):
+    # the memo drops its oldest polynomial when full; a context that still
+    # holds the dropped slot keeps narrowing it
+    monkeypatch.setattr(algebraic, "_MEMO", {})
+    ctx = ResidueContext(SQRT2, algebraic.AlgebraicReal(SQRT2, algebraic.RationalInterval(1, 2)))
+    algebraic._MEMO.clear()
+    assert sign_within(ctx.reduce([Fraction(-1414, 1000), 1])) == 1
+    assert ctx.root.interval.width <= Fraction(1, 2**20)
+    assert residue_is_zero(ctx.reduce([-2, 0, 0]) + ctx.x_power(2))

@@ -19,6 +19,7 @@ from salemforge.errors import BoundTooSmall, InvalidKey, StructureViolation, Tol
 from salemforge.jonquieres import OrbitData, auxiliary_polynomial
 from salemforge.spectrum import (
     IndexReading,
+    LimitReport,
     SpectrumKey,
     classify_entry,
     dynamical_degree,
@@ -304,3 +305,14 @@ def test_append_recurrence_identity():
             polys.shift(_prod_blocks(tup), 1),
         )
         assert pa == rhs
+
+
+def test_limit_convergence_pinned():
+    # the paper's accumulation object: the level-2 values (4, (n,)) rise to
+    # the level-1 value; pinned to the report of plain bisection from the
+    # isolating intervals, and again once the memo holds deeper cells
+    expect = LimitReport(4, (), 2, 30, Fraction(1, 4194304), Fraction(1, 10**6))
+    assert verify_limit_convergence(4, (), 2, 30, Fraction(1, 10**6)) == expect
+    dynamical_degree(SpectrumKey(4), Fraction(1, 10**40))
+    dynamical_degree(SpectrumKey(4, (30,)), Fraction(1, 10**40))
+    assert verify_limit_convergence(4, (), 2, 30, Fraction(1, 10**6)) == expect
