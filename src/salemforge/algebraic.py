@@ -66,21 +66,25 @@ class AlgebraicReal:
         defining = polys.primitive((-r.numerator, r.denominator))
         return AlgebraicReal(defining, RationalInterval(r, r))
 
-    def approx(self) -> float:
-        m = (self.interval.lo + self.interval.hi) / 2
-        return m.numerator / m.denominator
-
     def decimal(self, digits: int = 15) -> str:
-        """Decimal rendering, correct to the last printed digit or so."""
-        a = refine(self, Fraction(1, 10 ** (digits + 2)))
-        m = (a.interval.lo + a.interval.hi) / 2
-        scaled = m * 10**digits
-        q, r = divmod(scaled.numerator, scaled.denominator)
-        if 2 * r >= scaled.denominator:
-            q += 1
+        """Decimal rendering at `digits` places, correctly rounded half up."""
+        scale = 10**digits
+
+        def rounded(x: Fraction) -> int:
+            return math.floor(x * scale + Fraction(1, 2))
+
+        width = Fraction(1, 100 * scale)
+        a = refine(self, width)
+        while (q := rounded(a.interval.lo)) != (up := rounded(a.interval.hi)):
+            # the interval, narrower than 1/scale, holds one rounding boundary
+            b = (up - Fraction(1, 2)) / scale
+            if polys.eval_at(self.defining, b) == 0:
+                q = up
+                break
+            width /= 16
+            a = refine(self, width)
         sign = "-" if q < 0 else ""
-        q = abs(q)
-        whole, frac = divmod(q, 10**digits)
+        whole, frac = divmod(abs(q), scale)
         return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
 
@@ -172,8 +176,8 @@ def _remember(slot: MemoSlot, cell) -> None:
 
 def _halve(f, cell, avoid=()) -> tuple:
     """The half of the cell that holds the root, by one sign of f.  Only a
-    midpoint that is a root of f or of a polynomial in `avoid` gives way to
-    a `_split_point`, off the grid."""
+    midpoint that is a root of f or of a polynomial in `avoid` (from
+    `refine_clear_of`) gives way to a `_split_point`, off the grid."""
     lo, hi, den, s = cell
     m, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
     s_m = polys.sign(polys.eval_hom(f, m, den))
@@ -216,15 +220,13 @@ def isolate_largest_real_root(p, width=None) -> AlgebraicReal:
     return refine(a, width) if width is not None else a
 
 
-def refine(a: AlgebraicReal, width, extra_avoid=()) -> AlgebraicReal:
+def refine(a: AlgebraicReal, width) -> AlgebraicReal:
     """Same root, interval width at most `width`: the cell where plain
     bisection of a's interval stops.
 
     If a's interval is a grid ancestor of the memo's cell, the answer is
     that cell's ancestor at the stopping level, found by a shift, or
-    bisection resumes from that cell.  A midpoint that is a root of an
-    `extra_avoid` polynomial (so callers can force endpoints clear of a gcd)
-    leaves the grid, so such calls bisect from a's interval.
+    bisection resumes from that cell.
     """
     width = Fraction(width)
     if width <= 0:
@@ -235,7 +237,7 @@ def refine(a: AlgebraicReal, width, extra_avoid=()) -> AlgebraicReal:
     slot = memo_slot(a, cell)
     known, (lo, hi, den, _) = slot.cell, cell
     wn, wd = width.numerator, width.denominator
-    if not extra_avoid and (down := _descent(cell, known)):
+    if down := _descent(cell, known):
         # plain bisection stops at the least level j with cells at most `width` wide
         j, (t, k) = (-(-(hi - lo) * wd // (wn * den)) - 1).bit_length(), down
         if j <= t:
@@ -243,18 +245,24 @@ def refine(a: AlgebraicReal, width, extra_avoid=()) -> AlgebraicReal:
             return _real(f, ((lo << j) + k * (hi - lo), (lo << j) + (k + 1) * (hi - lo), den << j))
         cell = known
     while (cell[1] - cell[0]) * wd > wn * cell[2]:
-        cell = _halve(f, cell, extra_avoid)
+        cell = _halve(f, cell)
     _remember(slot, cell)
     return _real(f, cell)
 
 
+# kept: perfbench/tracing.py binds this name
 def refine_clear_of(a: AlgebraicReal, g) -> AlgebraicReal:
-    """Refine until neither interval endpoint is a root of g."""
+    """Refine until neither interval endpoint is a root of g, halving the
+    width per round.  A midpoint that is a root of g leaves the grid, so
+    these cells never enter the memo."""
     if a.is_exact:
         return a
-    while polys.eval_at(g, a.interval.lo) == 0 or polys.eval_at(g, a.interval.hi) == 0:
-        a = refine(a, a.interval.width / 2, extra_avoid=(g,))
-    return a
+    cell = _cell(a)
+    while polys.eval_hom(g, cell[0], cell[2]) == 0 or polys.eval_hom(g, cell[1], cell[2]) == 0:
+        width = Fraction(cell[1] - cell[0], 2 * cell[2])
+        while Fraction(cell[1] - cell[0], cell[2]) > width:
+            cell = _halve(a.defining, cell, (g,))
+    return _real(a.defining, cell)
 
 
 def _side_of_rational(r: Fraction, b: AlgebraicReal) -> int:

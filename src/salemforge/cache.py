@@ -28,7 +28,7 @@ from .serialize import (
 
 SCHEMA = 1
 ENV_VAR = "SALEMFORGE_CACHE"
-LABELS = ("pisot_like", "salem_like", "undetermined")  # every label census._label gives
+LABELS = ("pisot_like", "salem_like", "undetermined")  # every label census.salem_pisot_label gives
 
 
 class _FileLock:

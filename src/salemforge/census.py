@@ -197,20 +197,15 @@ def is_self_reciprocal(p) -> bool:
     return r == p or r == polys.neg(p)
 
 
-def salem_pisot_label(p, strip_degree_bound: int):
-    """Best-effort Salem/Pisot label for the dominant root of p.
+def salem_pisot_label(p, strip_degree_bound: int, on=None):
+    """Best-effort Salem/Pisot label for the dominant root of p, as
+    (label, stripped, removed); `on` is p's on-circle count if known.
 
     After removing cyclotomic factors: no roots on the circle means every
     non-dominant conjugate is strictly inside (pisot_like); remaining circle
     roots on a self-reciprocal cofactor match the Salem shape (salem_like);
     circle roots on a non-reciprocal cofactor cannot be attributed without
     factoring, so the label stays undetermined.
-    """
-    return _label(p, strip_degree_bound)
-
-
-def _label(p, strip_degree_bound: int, on=None):
-    """salem_pisot_label's (label, stripped, removed), given p's on-circle count.
 
     Every root of a cyclotomic factor lies on the circle, so Phi_n**k | p
     forces k * phi(n) <= on: stripping to degree min(strip_degree_bound,

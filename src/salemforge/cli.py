@@ -178,7 +178,9 @@ def cmd_cache(args) -> int:
     store = default_store(args.cache)
     if store is None:
         raise SalemforgeError("no cache path: pass --cache or set SALEMFORGE_CACHE")
-    if args.tuple is not None and args.d is not None:
+    if (args.d is None) != (args.tuple is None):
+        raise SalemforgeError("a cache lookup needs both --d and --tuple")
+    if args.d is not None:
         if args.format != "json":
             raise SalemforgeError("a cache lookup prints JSON only")
         entry = store.get(SpectrumKey(args.d, args.tuple))

@@ -12,17 +12,6 @@ from __future__ import annotations
 Matrix = tuple  # tuple[tuple[int, ...], ...]
 
 
-def from_rows(rows) -> Matrix:
-    m = tuple(tuple(int(c) for c in row) for row in rows)
-    if any(len(r) != len(m) for r in m):
-        raise ValueError("matrix must be square")
-    return m
-
-
-def size(m: Matrix) -> int:
-    return len(m)
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -49,10 +38,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -61,6 +46,7 @@ def vec_mat(v, a: Matrix) -> tuple:
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(v)))
 
 
+# kept: perfbench/tracing.py binds this name
 def det(m: Matrix) -> int:
     """Fraction-free Bareiss determinant."""
     n = len(m)

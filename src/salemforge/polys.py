@@ -35,10 +35,6 @@ def degree(p: IntPoly) -> int:
     return len(p) - 1
 
 
-def leading(p: IntPoly) -> int:
-    return p[-1] if p else 0
-
-
 def is_zero(p: IntPoly) -> bool:
     return not p
 
@@ -177,6 +173,7 @@ def common_den(lo: Fraction, hi: Fraction) -> tuple:
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
+# kept: perfbench/tracing.py binds this name
 def eval_interval(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple:
     """Exact interval Horner: bounds for {p(x) : lo <= x <= hi}."""
     if not p:

@@ -35,25 +35,15 @@ from .spectrum import SpectrumKey
 
 
 @dataclass(frozen=True)
-class CubicPoint:
-    """A smooth point of the cuspidal cubic, as its affine parameter."""
-
-    t: ResidueElement
-
-    def projective(self):
-        return (self.t**3, self.t.context.one, self.t)
-
-
-@dataclass(frozen=True)
 class RealizationPlan:
     key: SpectrumKey
     context: ResidueContext
     a: ResidueElement  # the dominant eigenvalue lambda
     b: ResidueElement  # lambda + 1
-    points: dict  # (orbit, step) -> CubicPoint; orbit 1 has steps 0, 1
+    points: dict  # (orbit, step) -> affine parameter, in basis order; orbit 1 has steps 0, 1
 
     def point(self, orbit: int, step: int) -> ResidueElement:
-        return self.points[(orbit, step)].t
+        return self.points[(orbit, step)]
 
     def labels(self):
         return sorted(self.points)
@@ -125,28 +115,20 @@ def realization_points(key: SpectrumKey) -> RealizationPlan:
     v = transpose_eigenvector(key, ctx)
     inv_lam1 = (lam - 1).inverse()
 
-    points = {}
-    coords = {}
-    coords[(1, 0)] = v[1]
-    coords[(1, 1)] = v[2]
-    idx = 3
-    for i, n in enumerate(key.tuple, start=2):
-        for jstep in range(n):
-            coords[(i, jstep)] = v[idx]
-            idx += 1
-    for label, coord in coords.items():
-        points[label] = CubicPoint((3 * coord - b) * inv_lam1)
+    labels = [(1, 0), (1, 1)]
+    labels += [(i, j) for i, n in enumerate(key.tuple, start=2) for j in range(n)]
+    points = {label: (3 * coord - b) * inv_lam1 for label, coord in zip(labels, v[1:])}
 
     # closed forms from the construction
-    if not (points[(1, 0)].t - (2 - lam) * inv_lam1).is_zero_poly:
+    if not (points[(1, 0)] - (2 - lam) * inv_lam1).is_zero_poly:
         raise StructureViolation(f"q(1,0) != (2-lambda)/(lambda-1) for {key}")
-    if not (points[(1, 1)].t - (2 * lam - 1) * inv_lam1).is_zero_poly:
+    if not (points[(1, 1)] - (2 * lam - 1) * inv_lam1).is_zero_poly:
         raise StructureViolation(f"q(1,1) != (2lambda-1)/(lambda-1) for {key}")
     for i, n in enumerate(key.tuple, start=2):
         inv = (ctx.x_power(n) + 1).inverse()
         for jstep in range(n):
             explicit = (3 * ctx.x_power(jstep + 1) * inv - b) * inv_lam1
-            if not (points[(i, jstep)].t - explicit).is_zero_poly:
+            if not (points[(i, jstep)] - explicit).is_zero_poly:
                 raise StructureViolation(f"q({i},{jstep}) differs from its closed form for {key}")
     return RealizationPlan(key, ctx, a, b, points)
 
@@ -172,7 +154,7 @@ def check_eigen_system(plan: RealizationPlan) -> bool:
     """
     f = jonquieres_matrix(plan.key.orbit)
     n = len(f)
-    pts = _points_in_basis_order(plan)
+    pts = list(plan.points.values())
     a, b = plan.a, plan.b
     ctx = plan.context
 
@@ -191,13 +173,6 @@ def check_eigen_system(plan: RealizationPlan) -> bool:
         if not residue_is_zero(a * pts[col - 1] + b - rhs):
             return False
     return True
-
-
-def _points_in_basis_order(plan: RealizationPlan):
-    pts = [plan.point(1, 0), plan.point(1, 1)]
-    for i, n in enumerate(plan.key.tuple, start=2):
-        pts.extend(plan.point(i, j) for j in range(n))
-    return pts
 
 
 @dataclass(frozen=True)

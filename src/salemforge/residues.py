@@ -76,9 +76,6 @@ class ResidueContext:
         num = self._mod(num)
         return self._make(num, den)
 
-    def constant(self, value) -> "ResidueElement":
-        return self.reduce([value])
-
     def x_power(self, k: int) -> "ResidueElement":
         """X**k reduced, memoised: the workhorse for lambda-power formulas."""
         powers = self._powers
@@ -188,12 +185,6 @@ class ResidueElement:
 
 
 # -- module-level operations ----------------------------------------------
-
-
-def residue_reduce(coeffs, modulus, root: AlgebraicReal | None = None) -> ResidueElement:
-    """Reduce a rational-coefficient polynomial modulo `modulus`."""
-    ctx = ResidueContext(modulus, root) if root else ResidueContext.for_largest_root(modulus)
-    return ctx.reduce(coeffs)
 
 
 def residue_is_zero(e: ResidueElement) -> bool:

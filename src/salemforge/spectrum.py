@@ -4,14 +4,13 @@ The nested level sets are defined inductively: level 1 holds the single
 quadratic value for the degree, level 2 the one-parameter family above
 d - 1, and level m >= 3 the strictly increasing tuples whose
 decremented-truncated tuple (n_2, ..., n_{m-2}, n_{m-1} - 1) belongs to
-level m-1 with a strictly smaller value.  An alternative reading of that
-index (see IndexReading) additionally requires the plain truncation to be
-a member; both are exposed, neither is silently guessed.
+level m-1 with a strictly smaller value.  Requiring the plain truncation
+(n_2, ..., n_{m-1}) to be a member as well defines the same sets, since the
+value grows strictly with the last entry (induction on m).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,18 +24,11 @@ from .algebraic import (
     isolate_largest_real_root,
     refine,
 )
-from .census import UnitCircleCensus, _label, unit_circle_census
+from .census import UnitCircleCensus, salem_pisot_label, unit_circle_census
 from .errors import BoundTooSmall, CensusContradiction, InvalidKey, StructureViolation, ToleranceNotReached
 from .jonquieres import OrbitData, auxiliary_polynomial
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
-
-
-class IndexReading(enum.Enum):
-    """How the inductive membership condition indexes the smaller level."""
-
-    TRUNCATED_DECREMENT = "truncated-decrement"  # (n_2, ..., n_{m-2}, n_{m-1}-1)
-    WITH_TRUNCATION = "with-truncation"  # additionally (n_2, ..., n_{m-1}) a member
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,7 @@ def level1_value(d: int) -> AlgebraicReal:
     return _dominant_root(SpectrumKey(d))
 
 
-def is_level_member(key: SpectrumKey, reading: IndexReading = IndexReading.TRUNCATED_DECREMENT) -> bool:
+def is_level_member(key: SpectrumKey) -> bool:
     """Decide membership of the key's value in the level-m set."""
     m = key.m
     if m == 1:
@@ -109,51 +101,33 @@ def is_level_member(key: SpectrumKey, reading: IndexReading = IndexReading.TRUNC
     smaller_key = SpectrumKey(key.d, smaller)
     if any(a >= b for a, b in zip(smaller, smaller[1:])):
         return False
-    if not is_level_member(smaller_key, reading):
+    if not is_level_member(smaller_key):
         return False
-    if compare(_dominant_root(smaller_key), _dominant_root(key)) != LESS:
-        return False
-    if reading is IndexReading.WITH_TRUNCATION:
-        trunc = SpectrumKey(key.d, t[:-1])
-        if not is_level_member(trunc, reading):
-            return False
-    return True
+    return compare(_dominant_root(smaller_key), _dominant_root(key)) == LESS
 
 
-def _level_tuples(d: int, m: int, bound: int, reading: IndexReading):
+def _level_tuples(d: int, m: int, bound: int):
     """Lexicographically ordered member tuples with entries <= bound."""
     if m == 1:
         yield ()
         return
     if m == 2:
         for n2 in range(2, bound + 1):
-            if is_level_member(SpectrumKey(d, (n2,)), reading):
+            if is_level_member(SpectrumKey(d, (n2,))):
                 yield (n2,)
         return
-    for q in _level_tuples(d, m - 1, bound, reading):
+    for q in _level_tuples(d, m - 1, bound):
         prefix = q[:-1] + (q[-1] + 1,)
         if prefix[-1] > bound:
             continue
-        if len(prefix) >= 2 and prefix[-2] >= prefix[-1]:
-            continue
         lower = _dominant_root(SpectrumKey(d, q))
-        if reading is IndexReading.WITH_TRUNCATION and not is_level_member(
-            SpectrumKey(d, prefix), reading
-        ):
-            continue
         for f in range(prefix[-1] + 1, bound + 1):
             key = SpectrumKey(d, prefix + (f,))
             if compare(lower, _dominant_root(key)) == LESS:
                 yield key.tuple
 
 
-def enumerate_level_prefix(
-    d: int,
-    m: int,
-    limit: int,
-    bound: int,
-    reading: IndexReading = IndexReading.TRUNCATED_DECREMENT,
-) -> list:
+def enumerate_level_prefix(d: int, m: int, limit: int, bound: int) -> list:
     """First `limit` members of the level-m set in lexicographic order.
 
     Raises StructureViolation unless lexicographic order and exact value
@@ -165,7 +139,7 @@ def enumerate_level_prefix(
     if limit < 1:
         raise InvalidKey(f"limit = {limit} must be at least 1")
     keys = []
-    for t in _level_tuples(d, m, bound, reading):
+    for t in _level_tuples(d, m, bound):
         keys.append(SpectrumKey(d, t))
         if len(keys) == limit:
             break
@@ -255,6 +229,6 @@ def classify_entry(key: SpectrumKey) -> SpectrumEntry:
         )
     value = dynamical_degree(key)
     strip_bound = 2 * max(key.tuple, default=2)
-    label, _, _ = _label(poly, strip_bound, census.on)
+    label, _, _ = salem_pisot_label(poly, strip_bound, census.on)
     return SpectrumEntry(key, value, census, label)
 

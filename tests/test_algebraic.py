@@ -40,7 +40,7 @@ GOLDEN = (-1, -3, 1)  # X^2 - 3X - 1, largest root (3 + sqrt(13))/2
 def test_isolate_quadratic_against_formula():
     a = isolate_largest_real_root(GOLDEN, width=Fraction(1, 10**9))
     root = (3 + sqrt_fraction(13, 15)) / 2
-    assert a.interval.lo <= root <= a.interval.hi or abs(a.approx() - float(root)) < 1e-9
+    assert polys.eval_at(GOLDEN, a.interval.lo) < 0 < polys.eval_at(GOLDEN, a.interval.hi)
     assert a.interval.lo < root + Fraction(1, 10**9)
     assert a.interval.hi > root - Fraction(1, 10**9)
 
@@ -226,13 +226,13 @@ def test_exact_value_of_inexact_root_raises():
         a.exact_value
 
 
-def assert_decimal_within_bound(text, exact, digits):
-    # the midpoint of a 10^-(digits+2) interval, rounded half up at the
-    # last digit, is within 10^-digits / 2 + 10^-(digits+2) / 2 of the root
+def assert_decimal_rounds_half_up(text, exact, digits):
+    # text is the exact value rounded half up at `digits` places, by mpmath
     import mpmath
 
-    ten = mpmath.mpf(10)
-    assert abs(mpmath.mpf(text) - exact) <= ten**-digits / 2 + ten ** -(digits + 2) / 2
+    q = int(mpmath.floor(exact * 10**digits + mpmath.mpf(1) / 2))
+    whole, frac = divmod(abs(q), 10**digits)
+    assert text == f"{'-' if q < 0 else ''}{whole}.{str(frac).zfill(digits)}"
 
 
 @given(st.integers(-30, 30), st.integers(1, 30), st.integers(-30, 30))
@@ -246,7 +246,7 @@ def test_decimal_matches_mpmath(a, b, c):
     root = isolate_largest_real_root((c, b, a))
     with mpmath.workdps(120):
         exact = (-b + mpmath.sign(a) * mpmath.sqrt(disc)) / (2 * a)
-        assert_decimal_within_bound(root.decimal(60), exact, 60)
+        assert_decimal_rounds_half_up(root.decimal(60), exact, 60)
 
 
 @given(st.integers(-10**6, 10**6), st.sampled_from([0, 1, 7, 15, 60]), st.integers(2, 50))
@@ -263,13 +263,21 @@ def test_decimal_near_a_rounding_boundary(k, digits, e):
     with mpmath.workdps(digits + 40):
         exact = (num + mpmath.sqrt(e)) / big
         assert abs(exact - mpmath.mpf(2 * k + 1) / (2 * 10**digits)) < mpmath.mpf(10) ** -(digits + 2)
-        assert_decimal_within_bound(root.decimal(digits), exact, digits)
+        assert_decimal_rounds_half_up(root.decimal(digits), exact, digits)
 
 
-def test_decimal_keeps_the_midpoint_rule():
+def test_decimal_rounds_correctly_just_below_a_boundary():
     # 2 + sqrt(5) = 4.23606797749979... lies 2.1e-13 below a rounding
-    # boundary at 9 places; the midpoint of its 10^-11 interval is above it,
-    # so the CLI's "4.236067978" stays as it was
+    # boundary at 9 places, inside the 10^-11 interval of the first refinement
     lam = isolate_largest_real_root((-1, -4, 1))
-    assert lam.decimal(9) == "4.236067978"
+    assert lam.decimal(9) == "4.236067977"
     assert lam.decimal(15) == "4.236067977499790"
+
+
+def test_decimal_of_a_rational_root_on_a_boundary():
+    # 1/8 = 0.125, a root of (8X - 1)(X^2 - 2), on an interval it shares with
+    # no other root: no refinement moves both endpoints to one side of it
+    a = AlgebraicReal(polys.mul((-1, 8), (-2, 0, 1)), RationalInterval(0, Fraction(1, 2)))
+    assert a.decimal(2) == "0.13"
+    assert a.decimal(3) == "0.125"
+    assert AlgebraicReal.from_rational(Fraction(-1, 8)).decimal(2) == "-0.12"

@@ -257,11 +257,11 @@ UNDETERMINED = polys.mul((-1, -3, 1), (2, -3, 2))
 @pytest.mark.parametrize("bound", [1, 2, 4, 8])
 def test_label_from_known_on_count_matches_second_census(p, bound):
     # classify_entry passes the on-count of p in place of a census of the stripped p
-    assert cen._label(p, bound, unit_circle_census(p).on) == cen.salem_pisot_label(p, bound)
+    assert cen.salem_pisot_label(p, bound, unit_circle_census(p).on) == cen.salem_pisot_label(p, bound)
 
 
 def unbounded_label(p, strip_degree_bound):
-    """_label as defined before the on-bound: strip to the full bound, census the rest."""
+    """salem_pisot_label as defined before the on-bound: strip to the full bound, census the rest."""
     stripped, removed = cen.strip_cyclotomic_factors(p, strip_degree_bound)
     if unit_circle_census(stripped).on == 0:
         return "pisot_like", stripped, removed
@@ -292,7 +292,7 @@ def test_on_bounded_strip_matches_unbounded_strip():
     for key in keys:
         p, bound = key.polynomial(), 2 * max(key.tuple, default=2)
         on = unit_circle_census(p).on
-        got = cen._label(p, bound, on)
+        got = cen.salem_pisot_label(p, bound, on)
         assert got == unbounded_label(p, bound) == cen.salem_pisot_label(p, bound), key
         seen.add((got[0], bool(got[2]), on < bound))
     # both labels, with and without removed factors, and keys where on < bound

@@ -193,6 +193,15 @@ def test_cache_without_path_exits_2(capsys, monkeypatch):
     assert "no cache path" in err
 
 
+@pytest.mark.parametrize("partial", [("--d", "4"), ("--tuple", "2,3"), ("--tuple", "")])
+def test_cache_lookup_with_partial_key_exits_2(capsys, tmp_path, partial):
+    cache = str(tmp_path / "c.jsonl")
+    assert run_cli(capsys, "classify", "--d", "4", "--tuple", "2", "--cache", cache)[0] == 0
+    code, out, err = run_cli(capsys, "cache", *partial, "--cache", cache)
+    assert code == 2 and out == ""
+    assert "both --d and --tuple" in err
+
+
 def test_cache_lookup_as_csv_exits_2(capsys, tmp_path):
     cache = str(tmp_path / "c.jsonl")
     code, out, err = run_cli(capsys, "cache", "--d", "4", "--tuple", "2", "--cache", cache, "--format", "csv")

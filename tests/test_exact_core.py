@@ -450,7 +450,8 @@ def test_refine_matches_sturm_bisection(p, width):
 )
 @settings(max_examples=80, deadline=None)
 def test_refine_avoiding_dyadic_roots_matches_oracle(p, t, depth):
-    # g vanishes at a dyadic point of the interval, which the midpoint rule
+    # refine_clear_of g, which vanishes at an endpoint (lo for odd t, else
+    # hi) and at a dyadic point of the interval, which the midpoint rule
     # would otherwise pick at some bisection step
     if not with_real_root(p):
         return
@@ -459,11 +460,10 @@ def test_refine_avoiding_dyadic_roots_matches_oracle(p, t, depth):
         return
     lo, hi = a.interval.lo, a.interval.hi
     x = lo + (hi - lo) * Fraction(t, 8) / 2**depth
-    g = polys.primitive((-x.numerator, x.denominator))
-    width = (hi - lo) / 2**12
-    olo, ohi = oracle_refine(a.defining, lo, hi, width, extra_avoid=(g,))
-    b = refine(a, width, extra_avoid=(g,))
-    assert (b.interval.lo, b.interval.hi) == (olo, ohi)
+    end = lo if t % 2 else hi
+    g = polys.mul(*(polys.primitive((-r.numerator, r.denominator)) for r in (x, end)))
+    b = refine_clear_of(a, g)
+    assert (b.interval.lo, b.interval.hi) == oracle_refine_clear_of(a.defining, lo, hi, g)
 
 
 def test_refine_clear_of_dyadic_midpoint_root():

@@ -155,14 +155,6 @@ def test_mat_mul_empty_shapes():
 # -- typed errors ----------------------------------------------------------
 
 
-def test_from_rows_rejects_non_square():
-    assert matrices.from_rows([[1, 0], [0, 1]]) == matrices.identity(2)
-    with pytest.raises(ValueError):
-        matrices.from_rows([[1, 0], [0]])
-    with pytest.raises(ValueError):
-        matrices.from_rows([[1, 2, 3]])
-
-
 def test_permutation_matrix_rejects_non_permutation():
     with pytest.raises(ValueError):
         matrices.permutation_matrix((0, 0, 2), 3)

@@ -13,7 +13,6 @@ import pytest
 from salemforge import realization
 from salemforge.errors import InvalidKey, ModulusMismatch, StructureViolation
 from salemforge.realization import (
-    CubicPoint,
     RealizationPlan,
     check_affine_recursion,
     check_eigen_system,
@@ -102,7 +101,7 @@ def test_affine_recursion(plan4):
 
 def test_affine_recursion_falsification(plan4):
     broken = dict(plan4.points)
-    broken[(3, 1)] = CubicPoint(broken[(3, 1)].t + 1)
+    broken[(3, 1)] = broken[(3, 1)] + 1
     bad = RealizationPlan(plan4.key, plan4.context, plan4.a, plan4.b, broken)
     assert not check_affine_recursion(bad)
 
@@ -129,8 +128,8 @@ def test_collinearity_sum_basics(plan4):
     ctx = plan4.context
     t = plan4.point(2, 0)
     assert residue_is_zero(collinearity_sum(t, -t, ctx.zero))
-    one, two = ctx.constant(1), ctx.constant(2)
-    assert residue_is_zero(collinearity_sum(one, two, ctx.constant(-3)))
+    one, two = ctx.reduce([1]), ctx.reduce([2])
+    assert residue_is_zero(collinearity_sum(one, two, ctx.reduce([-3])))
 
 
 def test_collinearity_modulus_mismatch(plan4):
@@ -190,14 +189,13 @@ def det3(rows):
 
 def test_collinearity_matches_residue_determinant(plan4):
     """The projective 3x3 determinant at lambda agrees with the sum rule."""
-    from salemforge.realization import CubicPoint
-
+    one = plan4.context.one
     q1, q2 = plan4.point(1, 0), plan4.point(2, 0)
     third = -(q1 + q2)  # collinear by construction
-    rows_zero = [CubicPoint(t).projective() for t in (q1, q2, third)]
+    rows_zero = [(t**3, one, t) for t in (q1, q2, third)]
     assert residue_is_zero(det3(rows_zero))
     q3 = plan4.point(3, 0)  # verified non-collinear triple
-    rows_nonzero = [CubicPoint(t).projective() for t in (q1, q2, q3)]
+    rows_nonzero = [(t**3, one, t) for t in (q1, q2, q3)]
     assert not residue_is_zero(det3(rows_nonzero))
     assert not residue_is_zero(collinearity_sum(q1, q2, q3))
 

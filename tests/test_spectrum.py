@@ -18,7 +18,6 @@ from salemforge.census import salem_pisot_label, unit_circle_census
 from salemforge.errors import BoundTooSmall, InvalidKey, StructureViolation, ToleranceNotReached
 from salemforge.jonquieres import OrbitData, auxiliary_polynomial
 from salemforge.spectrum import (
-    IndexReading,
     LimitReport,
     SpectrumKey,
     classify_entry,
@@ -94,18 +93,12 @@ def test_is_level_member_level3_threshold():
     assert not is_level_member(SpectrumKey(4, (4, 4)))
 
 
-def test_is_level_member_alternative_reading():
-    k = SpectrumKey(4, (3, 9))
-    default = is_level_member(k)
-    alt = is_level_member(k, IndexReading.WITH_TRUNCATION)
-    # with d = 4 the truncation (3) is itself a member, so both readings agree
-    assert default == alt
-
-
-def test_enumeration_alternative_reading_agrees_at_small_scale():
-    default = enumerate_level_prefix(4, 3, 5, 25)
-    alt = enumerate_level_prefix(4, 3, 5, 25, IndexReading.WITH_TRUNCATION)
-    assert [e.key.tuple for e in default] == [e.key.tuple for e in alt]
+@pytest.mark.parametrize("d,m,limit,bound", [(4, 4, 20, 30), (5, 4, 20, 25)])
+def test_level_members_have_member_truncations(d, m, limit, bound):
+    # the value grows strictly with the last entry, so a member's plain
+    # truncation is a member too: requiring it would define the same sets
+    for e in enumerate_level_prefix(d, m, limit, bound):
+        assert is_level_member(SpectrumKey(d, e.key.tuple[:-1])), e.key
 
 
 def test_enumerate_level1():
