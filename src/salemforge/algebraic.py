@@ -2,7 +2,7 @@
 
 All decisions are exact: intervals have rational endpoints, root counts come
 from Sturm chains, and equality is certified through polynomial gcds.  A
-degenerate interval (lo == hi) encodes an exactly known rational root.
+rational root is held in an isolating interval like any other root.
 """
 
 from __future__ import annotations
@@ -33,41 +33,23 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __contains__(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class AlgebraicReal:
     """A real root of `defining`, pinned down by `interval`.
 
     Invariants: `defining` is primitive and square-free, the closed interval
-    contains exactly one of its real roots, and no endpoint is a root --
-    except in the degenerate case lo == hi, which stores a rational root
-    exactly.
+    contains exactly one of its real roots, and no endpoint is a root, so
+    lo < hi.
     """
 
     defining: tuple
     interval: RationalInterval
 
-    @property
-    def is_exact(self) -> bool:
-        return self.interval.lo == self.interval.hi
-
-    @property
-    def exact_value(self) -> Fraction:
-        if not self.is_exact:
-            raise ValueError("the root is only known up to its isolating interval")
-        return self.interval.lo
-
-    @staticmethod
-    def from_rational(r) -> "AlgebraicReal":
-        r = Fraction(r)
-        defining = polys.primitive((-r.numerator, r.denominator))
-        return AlgebraicReal(defining, RationalInterval(r, r))
-
     def decimal(self, digits: int = 15) -> str:
-        """Decimal rendering at `digits` places, correctly rounded half up."""
+        """Decimal rendering at `digits` >= 0 places, correctly rounded half up."""
+        if digits < 0:
+            raise ValueError(f"decimal places must be nonnegative, got {digits}")
         scale = 10**digits
 
         def rounded(x: Fraction) -> int:
@@ -85,7 +67,7 @@ class AlgebraicReal:
             a = refine(self, width)
         sign = "-" if q < 0 else ""
         whole, frac = divmod(abs(q), scale)
-        return f"{sign}{whole}.{str(frac).zfill(digits)}"
+        return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
 
 
 def _split_point(lo: Fraction, hi: Fraction, avoid) -> Fraction:
@@ -191,18 +173,11 @@ def _halve(f, cell, avoid=()) -> tuple:
     return (lo, m, den, s) if s_m != s else (m, hi, den, s)
 
 
-def isolate_largest_real_root(p, width=None) -> AlgebraicReal:
-    """Isolate the largest real root of p.
-
-    Raises NoRealRoot when p has none.  If `width` is given, the returned
-    interval is refined to at most that width.
-    """
+def isolate_largest_real_root(p) -> AlgebraicReal:
+    """Isolate the largest real root of p; raises NoRealRoot when p has none."""
     if polys.is_zero(p) or polys.degree(p) == 0:
         raise NoRealRoot("constant polynomial")
     sf = polys.square_free_part(p)
-    if polys.degree(sf) == 1:
-        root = Fraction(-sf[0], sf[1])
-        return AlgebraicReal(sf, RationalInterval(root, root))
     bound = polys.cauchy_bound(sf)
     lo, hi = -bound, bound
     chain = polys.sturm_chain(p)
@@ -216,8 +191,7 @@ def isolate_largest_real_root(p, width=None) -> AlgebraicReal:
             lo, v_lo = m, v_m
         else:
             hi, v_hi = m, v_m
-    a = AlgebraicReal(sf, RationalInterval(lo, hi))
-    return refine(a, width) if width is not None else a
+    return AlgebraicReal(sf, RationalInterval(lo, hi))
 
 
 def refine(a: AlgebraicReal, width) -> AlgebraicReal:
@@ -231,8 +205,6 @@ def refine(a: AlgebraicReal, width) -> AlgebraicReal:
     width = Fraction(width)
     if width <= 0:
         raise ValueError(f"refinement width must be positive, got {width}")
-    if a.is_exact:
-        return a
     f, cell = a.defining, _cell(a)
     slot = memo_slot(a, cell)
     known, (lo, hi, den, _) = slot.cell, cell
@@ -255,29 +227,12 @@ def refine_clear_of(a: AlgebraicReal, g) -> AlgebraicReal:
     """Refine until neither interval endpoint is a root of g, halving the
     width per round.  A midpoint that is a root of g leaves the grid, so
     these cells never enter the memo."""
-    if a.is_exact:
-        return a
     cell = _cell(a)
     while polys.eval_hom(g, cell[0], cell[2]) == 0 or polys.eval_hom(g, cell[1], cell[2]) == 0:
         width = Fraction(cell[1] - cell[0], 2 * cell[2])
         while Fraction(cell[1] - cell[0], cell[2]) > width:
             cell = _halve(a.defining, cell, (g,))
     return _real(a.defining, cell)
-
-
-def _side_of_rational(r: Fraction, b: AlgebraicReal) -> int:
-    """Position of the rational r relative to b's root."""
-    if b.is_exact:
-        return (r > b.exact_value) - (r < b.exact_value)
-    p, q = r.numerator, r.denominator
-    if r in b.interval and polys.eval_hom(b.defining, p, q) == 0:
-        return EQUAL
-    slot = memo_slot(b)
-    cell = slot.cell
-    while cell[0] * q < p * cell[2] < cell[1] * q:
-        cell = _halve(b.defining, cell)
-    _remember(slot, cell)
-    return LESS if p * cell[2] <= cell[0] * q else GREATER
 
 
 def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
@@ -289,12 +244,6 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     the overlap's endpoints are cell endpoints, hence no roots of the gcd,
     and a root of the gcd inside both cells is the root of each.
     """
-    if a.is_exact and b.is_exact:
-        return (a.exact_value > b.exact_value) - (a.exact_value < b.exact_value)
-    if a.is_exact:
-        return _side_of_rational(a.exact_value, b)
-    if b.is_exact:
-        return -_side_of_rational(b.exact_value, a)
     sa, sb, g = memo_slot(a), memo_slot(b), None
     ca, cb = sa.cell, sb.cell
     while not (ca[1] * cb[2] < cb[0] * ca[2] or cb[1] * ca[2] < ca[0] * cb[2]):
@@ -314,4 +263,18 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
 
 
 def compare_with_rational(a: AlgebraicReal, r) -> int:
-    return compare(a, AlgebraicReal.from_rational(Fraction(r)))
+    """Exact trichotomy of a against the rational r, by at most one sign.
+
+    r at or outside a's deepest known cell is decided by the endpoints,
+    which are no roots.  Inside, the root is r if the defining polynomial
+    vanishes there, and lies above r if its sign at r is the one at lo.
+    """
+    r = Fraction(r)
+    p, q = r.numerator, r.denominator
+    lo, hi, den, s = memo_slot(a).cell
+    if p * den <= lo * q:
+        return GREATER
+    if p * den >= hi * q:
+        return LESS
+    v = polys.sign(polys.eval_hom(a.defining, p, q))
+    return EQUAL if v == 0 else GREATER if v == s else LESS

@@ -106,8 +106,6 @@ def record_to_entry(record: dict):
     if not fits:
         raise StoreCorrupt("stored label or census does not fit the key's polynomial")
     try:
-        # an exact interval (lo == hi) counts no root: no entry has one, as
-        # the key's polynomial (monic, constant term -1) has no rational root > 2
         if polys.sturm_count(poly, lo, hi) != 1:
             raise StoreCorrupt("stored interval does not isolate a root")
         elif polys.square_free_part(poly) != poly:

@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tuple_required=True, formats=("json",)):
+    def common(p, tuple_required=True, formats=("json",), cache=False):
         p.add_argument("--d", type=int, required=True, help="degree d >= 1")
         p.add_argument(
             "--tuple",
@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma-separated orbit lengths n_2,...,n_m (may be empty)",
         )
         p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--cache", default=None, help="JSONL cache path (or SALEMFORGE_CACHE)")
+        if cache:
+            p.add_argument("--cache", default=None, help="JSONL cache path (or SALEMFORGE_CACHE)")
 
     p = sub.add_parser("poly", help="auxiliary polynomial coefficients")
     common(p)
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("classify", help="census + Salem/Pisot-style label")
-    common(p)
+    common(p, cache=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("weyl", help="membership certificate for the lattice matrix")
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("spectrum", help="ordered prefix of a level set")
-    common(p, tuple_required=False, formats=("json", "csv"))
+    common(p, tuple_required=False, formats=("json", "csv"), cache=True)
     p.add_argument("--m", type=int, required=True, help="level index 1..2d-1")
     p.add_argument("--limit", type=int, required=True, help="number of members")
     p.add_argument("--bound", type=int, required=True, help="largest allowed entry")

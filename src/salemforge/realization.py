@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .errors import InvalidKey, ModulusMismatch, StructureViolation
+from .errors import InvalidKey, StructureViolation
 from .jonquieres import jonquieres_matrix
 from .residues import (
     ResidueContext,
@@ -51,8 +51,6 @@ class RealizationPlan:
 
 def collinearity_sum(t1: ResidueElement, t2: ResidueElement, t3: ResidueElement) -> ResidueElement:
     """Parameter sum; the three points are collinear iff it vanishes."""
-    if not (t1.context == t2.context == t3.context):
-        raise ModulusMismatch("collinearity needs a shared modulus")
     return t1 + t2 + t3
 
 

@@ -39,13 +39,10 @@ class ResidueContext:
             raise ValueError("modulus must be monic")
         # evaluation at the root is well defined on Q[X]/(modulus) only if
         # the root is a root of the modulus, i.e. root.defining | modulus
-        if root.is_exact:
-            if polys.eval_at(modulus, root.exact_value) != 0:
-                raise ValueError("root is not a root of the modulus")
-        elif polys.gcd(root.defining, modulus) != root.defining:
+        if polys.gcd(root.defining, modulus) != root.defining:
             raise ValueError("root.defining must divide the modulus")
         self.modulus = modulus
-        self._root, self._slot = root, None if root.is_exact else memo_slot(root)
+        self._root, self._slot = root, memo_slot(root)
         self._lock = threading.Lock()
         self._powers = [polys.ONE]
         self.zero = ResidueElement(self, (), 1)
@@ -54,7 +51,7 @@ class ResidueContext:
     @property
     def root(self) -> AlgebraicReal:
         """The distinguished root, on the narrowest interval known so far."""
-        return self._slot.root if self._slot else self._root
+        return self._slot.root
 
     @staticmethod
     def for_largest_root(p) -> "ResidueContext":
@@ -204,8 +201,6 @@ def residue_sign(e: ResidueElement) -> int:
     if e.is_zero_poly:
         return 0
     ctx = e.context
-    if ctx._slot is None:
-        return polys.sign(polys.eval_at(e.num, ctx.root.exact_value))
     cell = ctx._slot.cell
     for undecided in itertools.count(1):
         s = polys.interval_sign(e.num, *cell[:3])
@@ -248,8 +243,6 @@ def _vanishes_at(g, root: AlgebraicReal) -> bool:
     """Zero certificate: g(root) == 0 iff gcd(g, root.defining) has a root
     in root's interval.  The gcd divides root.defining, so the interval's
     endpoints, which are no roots of root.defining, are none of the gcd."""
-    if root.is_exact:
-        return polys.eval_at(g, root.exact_value) == 0
     common = polys.gcd(g, root.defining)
     if polys.degree(common) < 1:
         return False

@@ -37,17 +37,25 @@ def sqrt_fraction(n: int, digits: int) -> Fraction:
 GOLDEN = (-1, -3, 1)  # X^2 - 3X - 1, largest root (3 + sqrt(13))/2
 
 
+def rational(r) -> AlgebraicReal:
+    """The rational r as the root of its linear polynomial, isolated like any root."""
+    r = Fraction(r)
+    return isolate_largest_real_root((-r.numerator, r.denominator))
+
+
 def test_isolate_quadratic_against_formula():
-    a = isolate_largest_real_root(GOLDEN, width=Fraction(1, 10**9))
+    a = refine(isolate_largest_real_root(GOLDEN), Fraction(1, 10**9))
     root = (3 + sqrt_fraction(13, 15)) / 2
     assert polys.eval_at(GOLDEN, a.interval.lo) < 0 < polys.eval_at(GOLDEN, a.interval.hi)
     assert a.interval.lo < root + Fraction(1, 10**9)
     assert a.interval.hi > root - Fraction(1, 10**9)
 
 
-def test_isolate_rational_root_is_exact():
+def test_isolate_rational_root_gets_an_isolating_interval():
+    # the Cauchy bound B = 1 + 5 exceeds the root, so [-B, B] isolates it
     a = isolate_largest_real_root((-5, 1))
-    assert a.is_exact and a.exact_value == 5
+    assert a.interval == RationalInterval(-6, 6)
+    assert compare_with_rational(a, 5) == EQUAL
 
 
 def test_isolate_quartic_bracket():
@@ -55,7 +63,7 @@ def test_isolate_quartic_bracket():
     p = (-1, -2, 0, -3, 1)
     assert polys.eval_at(p, Fraction(32, 10)) < 0
     assert polys.eval_at(p, Fraction(33, 10)) > 0
-    a = isolate_largest_real_root(p, width=Fraction(1, 10**6))
+    a = refine(isolate_largest_real_root(p), Fraction(1, 10**6))
     assert Fraction(32, 10) < a.interval.lo and a.interval.hi < Fraction(33, 10)
 
 
@@ -65,9 +73,9 @@ def test_isolate_no_real_root():
 
 
 def test_isolate_picks_largest():
-    # roots -1, 1/2, 2: largest is 2 (exactly, via a degenerate or tight interval)
+    # roots -1, 1/2, 2: largest is 2
     p = polys.mul_many([(1, 1), (-1, 2), (-2, 1)])
-    a = isolate_largest_real_root(p, width=Fraction(1, 1000))
+    a = refine(isolate_largest_real_root(p), Fraction(1, 1000))
     assert a.interval.lo > Fraction(3, 2)
     assert a.interval.hi < Fraction(5, 2)
 
@@ -83,18 +91,13 @@ def test_refine_idempotent_root():
     assert c.interval.lo <= root <= c.interval.hi
 
 
-def test_refine_exact_noop():
-    a = AlgebraicReal.from_rational(5)
-    assert refine(a, Fraction(1, 10**9)) is a
-
-
 @pytest.mark.parametrize("width", [0, Fraction(-1, 2)])
 def test_refine_rejects_non_positive_width(width):
     # bisection would never reach a width <= 0
     with pytest.raises(ValueError, match="positive"):
         refine(isolate_largest_real_root(GOLDEN), width)
     with pytest.raises(ValueError, match="positive"):
-        refine(AlgebraicReal.from_rational(5), width)
+        refine(rational(5), width)
 
 
 def test_split_point_exhausted_is_typed():
@@ -170,7 +173,7 @@ def test_sqrt_roots_ordered(n):
 @given(st.fractions(min_value=-50, max_value=50), st.fractions(min_value=-50, max_value=50))
 @settings(max_examples=40)
 def test_compare_rationals(x, y):
-    a, b = AlgebraicReal.from_rational(x), AlgebraicReal.from_rational(y)
+    a, b = rational(x), rational(y)
     expect = (x > y) - (x < y)
     assert compare(a, b) == expect
 
@@ -179,7 +182,7 @@ def test_total_order_on_triples():
     vals = [
         isolate_largest_real_root((-2, 0, 1)),
         isolate_largest_real_root(GOLDEN),
-        AlgebraicReal.from_rational(Fraction(3, 2)),
+        rational(Fraction(3, 2)),
         isolate_largest_real_root((-1, -2, 0, -3, 1)),
     ]
     for a in vals:
@@ -195,7 +198,7 @@ def test_total_order_on_triples():
     st.lists(
         st.one_of(
             st.integers(2, 40).map(lambda n: isolate_largest_real_root((-n, 0, 1))),
-            st.fractions(min_value=0, max_value=8).map(AlgebraicReal.from_rational),
+            st.fractions(min_value=0, max_value=8).map(rational),
         ),
         min_size=3,
         max_size=3,
@@ -214,16 +217,17 @@ def test_total_order_on_random_triples(vals):
 def test_decimal_rendering():
     a = isolate_largest_real_root(GOLDEN)
     assert a.decimal(12) == "3.302775637732"
-    five = AlgebraicReal.from_rational(5)
-    assert five.decimal(3) == "5.000"
+    assert rational(5).decimal(3) == "5.000"
 
 
-def test_exact_value_of_inexact_root_raises():
-    # a typed error, which `python -O` cannot strip
-    a = isolate_largest_real_root(GOLDEN)
-    assert not a.is_exact
-    with pytest.raises(ValueError, match="isolating interval"):
-        a.exact_value
+def test_decimal_at_zero_places_and_below():
+    # no fraction digits at 0 places, and a typed error below
+    lam = isolate_largest_real_root((-1, -4, 1))  # 2 + sqrt(5) = 4.236...
+    assert lam.decimal(0) == "4"
+    assert lam.decimal(1) == "4.2"
+    assert rational(Fraction(-5, 2)).decimal(0) == "-2"
+    with pytest.raises(ValueError, match="nonnegative"):
+        lam.decimal(-1)
 
 
 def assert_decimal_rounds_half_up(text, exact, digits):
@@ -232,7 +236,7 @@ def assert_decimal_rounds_half_up(text, exact, digits):
 
     q = int(mpmath.floor(exact * 10**digits + mpmath.mpf(1) / 2))
     whole, frac = divmod(abs(q), 10**digits)
-    assert text == f"{'-' if q < 0 else ''}{whole}.{str(frac).zfill(digits)}"
+    assert text == f"{'-' if q < 0 else ''}{whole}" + (f".{frac:0{digits}d}" if digits else "")
 
 
 @given(st.integers(-30, 30), st.integers(1, 30), st.integers(-30, 30))
@@ -280,4 +284,17 @@ def test_decimal_of_a_rational_root_on_a_boundary():
     a = AlgebraicReal(polys.mul((-1, 8), (-2, 0, 1)), RationalInterval(0, Fraction(1, 2)))
     assert a.decimal(2) == "0.13"
     assert a.decimal(3) == "0.125"
-    assert AlgebraicReal.from_rational(Fraction(-1, 8)).decimal(2) == "-0.12"
+    assert rational(Fraction(-1, 8)).decimal(2) == "-0.12"
+
+
+def test_degenerate_interval_is_not_isolating():
+    # lo == hi holds no sign change, so it isolates nothing, even at a root
+    five = AlgebraicReal((-5, 1), RationalInterval(5, 5))
+    with pytest.raises(NotIsolating):
+        refine(five, Fraction(1, 10))
+    with pytest.raises(NotIsolating):
+        compare(five, rational(5))
+    with pytest.raises(NotIsolating):
+        compare(rational(5), five)
+    with pytest.raises(NotIsolating):
+        compare_with_rational(five, 5)

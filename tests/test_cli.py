@@ -186,6 +186,15 @@ def test_csv_on_json_command_exits_2(capsys, command):
     assert code == 0 and json.loads(out) == {"coeffs": ["-1", "-2", "0", "-3", "1"]}
 
 
+@pytest.mark.parametrize("command", ["poly", "matrix", "charpoly", "lambda", "census", "weyl", "realize"])
+def test_cache_on_a_command_that_never_reads_it_exits_2(capsys, tmp_path, command):
+    # only classify, spectrum and cache read a store
+    cache = tmp_path / "c.jsonl"
+    assert usage_exit_code(command, "--d", "4", "--tuple", "2", "--cache", str(cache)) == 2
+    assert "--cache" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 def test_cache_without_path_exits_2(capsys, monkeypatch):
     monkeypatch.delenv("SALEMFORGE_CACHE", raising=False)
     code, out, err = run_cli(capsys, "cache")

@@ -19,8 +19,12 @@ from hypothesis import strategies as st
 
 from salemforge import polys
 from salemforge.algebraic import (
+    EQUAL,
+    GREATER,
+    LESS,
     AlgebraicReal,
     RationalInterval,
+    compare_with_rational,
     isolate_largest_real_root,
     refine,
     refine_clear_of,
@@ -189,7 +193,7 @@ small_rationals = st.builds(lambda n, d: Fraction(n, d), st.integers(-200, 200),
 
 
 def with_real_root(p):
-    return polys.degree(polys.square_free_part(p)) >= 2 and polys.count_real_roots(p) >= 1
+    return polys.count_real_roots(p) >= 1
 
 
 # -- point evaluation ---------------------------------------------------------
@@ -436,8 +440,6 @@ def test_refine_matches_sturm_bisection(p, width):
     if not with_real_root(p):
         return
     a = isolate_largest_real_root(p)
-    if a.is_exact:
-        return
     lo, hi = oracle_refine(a.defining, a.interval.lo, a.interval.hi, width)
     b = refine(a, width)
     assert (b.interval.lo, b.interval.hi) == (lo, hi)
@@ -456,8 +458,6 @@ def test_refine_avoiding_dyadic_roots_matches_oracle(p, t, depth):
     if not with_real_root(p):
         return
     a = isolate_largest_real_root(p)
-    if a.is_exact:
-        return
     lo, hi = a.interval.lo, a.interval.hi
     x = lo + (hi - lo) * Fraction(t, 8) / 2**depth
     end = lo if t % 2 else hi
@@ -482,6 +482,50 @@ def test_refine_midpoint_root_of_defining():
     b = refine(a, Fraction(1, 1000))
     assert (b.interval.lo, b.interval.hi) == oracle_refine(a.defining, Fraction(0), Fraction(1), Fraction(1, 1000))
     assert b.interval.lo < Fraction(1, 2) < b.interval.hi
+
+
+def oracle_side(defining, lo, hi, r):
+    """Position of the root isolated by [lo, hi] relative to r, by Sturm
+    counts: the chain's variation drop from lo to r counts the roots in (lo, r]."""
+    if r < lo:
+        return GREATER
+    if r >= hi:
+        return LESS
+    chain = oracle_sturm_chain(defining)
+    if oracle_variations(chain, lo) == oracle_variations(chain, r):
+        return GREATER
+    return EQUAL if oracle_eval(defining, r) == 0 else LESS
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=7).map(polys.normalize),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+    st.integers(1, 60),
+    st.lists(small_rationals, max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_compare_with_rational_matches_sturm_oracle(p, root, depth, extra):
+    # p times X - root, so a rational root is often an extreme one; the
+    # largest and the smallest root are each compared with the endpoints and
+    # midpoint of their cell, that rational root and random rationals, before
+    # and after a deeper refine
+    p = polys.mul(p, (-root.numerator, root.denominator))
+    if not with_real_root(p):
+        return
+    a = isolate_largest_real_root(p)
+    # the smallest root of p is minus the largest of p(-X)
+    b = isolate_largest_real_root(tuple(-c if i % 2 else c for i, c in enumerate(p)))
+    smallest = AlgebraicReal(a.defining, RationalInterval(-b.interval.hi, -b.interval.lo))
+
+    def check(y, lo, hi):
+        for r in (y.interval.lo, y.interval.hi, (y.interval.lo + y.interval.hi) / 2, root, *extra):
+            assert compare_with_rational(y, r) == oracle_side(y.defining, lo, hi, r)
+
+    for x in (a, smallest):
+        lo, hi = x.interval.lo, x.interval.hi
+        check(x, lo, hi)
+        check(refine(x, x.interval.width / 2**depth), lo, hi)
+        check(x, lo, hi)
 
 
 def test_refine_deep_matches_oracle_on_realization_key():

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from salemforge import polys
-from salemforge.algebraic import isolate_largest_real_root
+from salemforge.algebraic import isolate_largest_real_root, refine
 from salemforge.census import unit_circle_census
 from salemforge.errors import NoRealRoot
 from salemforge.jonquieres import OrbitData, auxiliary_polynomial
@@ -59,7 +59,7 @@ def test_largest_root_matches_sympy_intervals(p):
             isolate_largest_real_root(p)
         return
     width = Fraction(1, 2**20)
-    iv = isolate_largest_real_root(p, width).interval
+    iv = refine(isolate_largest_real_root(p), width).interval
     assert iv.width <= width
     lo, hi = rational(iv.lo), rational(iv.hi)
     # exactly one distinct root in [lo, hi] and none above it

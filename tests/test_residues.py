@@ -86,6 +86,16 @@ def test_is_zero_on_reducible_modulus():
     # the quadratic's own root is not in the isolating interval of 7
 
 
+def test_signs_at_a_rational_root():
+    # 5 is held in an isolating interval like any root; on (X-5)(X^2-2) the
+    # zero of X-5 goes through the gcd certificate, not through reduction
+    for modulus in ((-5, 1), polys.mul((-5, 1), (-2, 0, 1))):
+        ctx = ResidueContext.for_largest_root(modulus)
+        assert residue_sign(ctx.reduce([-5, 1])) == 0
+        assert residue_sign(ctx.reduce([-4, 1])) == 1
+        assert residue_sign(ctx.reduce([-6, 1])) == -1
+
+
 def test_signs(ctx):
     assert residue_sign(ctx.zero) == 0
     assert residue_sign(ctx.reduce([-2, 1])) == 1      # lambda - 2 > 0
