@@ -7,6 +7,7 @@ rational root is held in an isolating interval like any other root.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -51,20 +52,11 @@ class AlgebraicReal:
         if digits < 0:
             raise ValueError(f"decimal places must be nonnegative, got {digits}")
         scale = 10**digits
-
-        def rounded(x: Fraction) -> int:
-            return math.floor(x * scale + Fraction(1, 2))
-
-        width = Fraction(1, 100 * scale)
-        a = refine(self, width)
-        while (q := rounded(a.interval.lo)) != (up := rounded(a.interval.hi)):
-            # the interval, narrower than 1/scale, holds one rounding boundary
-            b = (up - Fraction(1, 2)) / scale
-            if polys.eval_at(self.defining, b) == 0:
-                q = up
-                break
-            width /= 16
-            a = refine(self, width)
+        a = refine(self, Fraction(1, 100 * scale))
+        q, up = (math.floor(x * scale + Fraction(1, 2)) for x in (a.interval.lo, a.interval.hi))
+        # the interval, narrower than 1/scale, holds at most one rounding boundary
+        if q != up and compare_with_rational(self, (up - Fraction(1, 2)) / scale) != LESS:
+            q = up
         sign = "-" if q < 0 else ""
         whole, frac = divmod(abs(q), scale)
         return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
@@ -102,12 +94,22 @@ class MemoSlot:
     def root(self) -> AlgebraicReal:
         return _real(self.defining, self.cell)
 
-    def narrow(self, cell, halvings: int) -> tuple:
-        """`cell` of this root halved `halvings` times, and kept if deeper."""
-        for _ in range(halvings):
-            cell = _halve(self.defining, cell)
-        _remember(self, cell)
-        return cell
+    def sign(self, g) -> int:
+        """Exact sign of the nonzero polynomial g at this root.
+
+        Interval Horner certifies nonzero signs, narrowing the cell 2**-20
+        per undecided round; after three such rounds `vanishes_at` certifies
+        a zero or rules it out, so a zero verdict never rests on an interval.
+        The first cell is read without a lock, and each narrower one is kept.
+        """
+        cell = self.cell
+        for undecided in itertools.count(1):
+            s = polys.interval_sign(g, *cell[:3])
+            if s or (undecided == 3 and vanishes_at(g, _real(self.defining, cell))):
+                return s
+            for _ in range(20):
+                cell = _halve(self.defining, cell)
+            _remember(self, cell)
 
 
 def _real(f, cell) -> AlgebraicReal:
@@ -244,14 +246,14 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     the overlap's endpoints are cell endpoints, hence no roots of the gcd,
     and a root of the gcd inside both cells is the root of each.
     """
-    sa, sb, g = memo_slot(a), memo_slot(b), None
+    sa, sb, overlapped = memo_slot(a), memo_slot(b), False
     ca, cb = sa.cell, sb.cell
     while not (ca[1] * cb[2] < cb[0] * ca[2] or cb[1] * ca[2] < ca[0] * cb[2]):
-        if g is None:
-            g = polys.gcd(a.defining, b.defining)
+        if not overlapped:
+            overlapped = True
             olo = max(Fraction(ca[0], ca[2]), Fraction(cb[0], cb[2]))
             ohi = min(Fraction(ca[1], ca[2]), Fraction(cb[1], cb[2]))
-            if polys.degree(g) >= 1 and olo < ohi and polys.sturm_count(g, olo, ohi) >= 1:
+            if _common_root_in(a.defining, b.defining, olo, ohi):
                 return EQUAL
         if (ca[1] - ca[0]) * cb[2] >= (cb[1] - cb[0]) * ca[2]:
             ca = _halve(a.defining, ca)
@@ -278,3 +280,17 @@ def compare_with_rational(a: AlgebraicReal, r) -> int:
         return LESS
     v = polys.sign(polys.eval_hom(a.defining, p, q))
     return EQUAL if v == 0 else GREATER if v == s else LESS
+
+
+def _common_root_in(f, g, lo, hi) -> bool:
+    """Whether f and g share a root in [lo, hi]: the gcd of f and g has one
+    there by a Sturm count.  Each endpoint must be no root of f or of g,
+    hence none of the gcd."""
+    common = polys.gcd(f, g)
+    return polys.degree(common) >= 1 and polys.sturm_count(common, lo, hi) >= 1
+
+
+def vanishes_at(g, a: AlgebraicReal) -> bool:
+    """The zero certificate: g(a) == 0 iff g and a.defining share a root in
+    a's interval, whose endpoints are no roots of a.defining."""
+    return _common_root_in(g, a.defining, a.interval.lo, a.interval.hi)

@@ -25,6 +25,7 @@ from .serialize import (
     str_to_frac,
     strings_to_poly,
 )
+from .spectrum import SpectrumEntry, SpectrumKey
 
 SCHEMA = 1
 ENV_VAR = "SALEMFORGE_CACHE"
@@ -79,8 +80,6 @@ def entry_to_record(entry) -> dict:
 
 def record_key(record: dict):
     """The record's SpectrumKey, without checking the rest of the record."""
-    from .spectrum import SpectrumKey  # local: avoid cycle
-
     try:
         if record.get("schema") != SCHEMA:
             raise KeyError("schema")
@@ -90,8 +89,6 @@ def record_key(record: dict):
 
 
 def record_to_entry(record: dict):
-    from .spectrum import SpectrumEntry  # local: avoid cycle
-
     key = record_key(record)
     key_poly = key.polynomial()
     try:

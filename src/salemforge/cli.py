@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import matrices
+from .algebraic import compare
 from .cache import default_store
 from .census import unit_circle_census
 from .errors import SalemforgeError, StructureViolation, CensusContradiction
@@ -73,11 +74,7 @@ def emit_table(entries, fmt: str) -> str:
 
     Rows are emitted in exact value order.
     """
-    from functools import cmp_to_key
-
-    from .algebraic import compare as _cmp
-
-    entries = sorted(entries, key=cmp_to_key(lambda a, b: _cmp(a.value, b.value)))
+    entries = sorted(entries, key=functools.cmp_to_key(lambda a, b: compare(a.value, b.value)))
     rows = [_entry_row(e) for e in entries]
     if fmt == "csv":
         header = "d,tuple,interval_lo,interval_hi,census,label"

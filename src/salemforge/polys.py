@@ -432,12 +432,8 @@ def sturm_count(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    if eval_at(p, lo) == 0 or eval_at(p, hi) == 0:
+    if eval_hom(p, lo.numerator, lo.denominator) == 0 or eval_hom(p, hi.numerator, hi.denominator) == 0:
         raise EndpointIsRoot(f"interval endpoint is a root of {p}")
-    if degree(p) == 0:
-        return 0
-    if lo == hi:
-        return 0
     chain = sturm_chain(p)
     return chain_variations_at(chain, lo) - chain_variations_at(chain, hi)
 

@@ -31,6 +31,7 @@ from .residues import (
     residue_is_zero,
     residue_sign,
 )
+from .serialize import ratio_to_str
 from .spectrum import SpectrumKey
 
 
@@ -203,8 +204,6 @@ class VerificationReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        from .serialize import ratio_to_str
-
         return {
             "d": self.key.d,
             "tuple": list(self.key.tuple),

@@ -2,16 +2,15 @@
 
 Elements are rational-coefficient polynomials of degree below the modulus,
 stored as an integer coefficient tuple over a positive common denominator.
-The modulus need not be irreducible: deciding whether an element vanishes
-at the distinguished root lambda therefore never trusts interval evaluation
-for a zero verdict; the certificate is a polynomial gcd with a Sturm count
-on lambda's isolating interval.  Interval evaluation is only used the other
-way round, to certify nonzero values and signs.
+This module is ring arithmetic only.  The sign of an element at the
+distinguished root lambda, zero included, is decided in `algebraic`, by
+`MemoSlot.sign` on lambda's slot of the refinement memo: the modulus need
+not be irreducible, so a zero verdict rests on the gcd + Sturm certificate
+`algebraic.vanishes_at`, never on interval evaluation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from fractions import Fraction
 
 from . import polys
 # `refine` stays importable as residues.refine, which the benchmark tracer's alias test reads
-from .algebraic import AlgebraicReal, isolate_largest_real_root, memo_slot, refine  # noqa: F401
+from .algebraic import AlgebraicReal, isolate_largest_real_root, memo_slot, refine, vanishes_at  # noqa: F401
 from .errors import ModulusMismatch, NotInvertible, NotIsolating
 
 
@@ -28,7 +27,8 @@ class ResidueContext:
 
     Safe to share across threads: one lock guards the power memo, which
     only grows.  The root's refinement lives in a slot of the lock-guarded
-    refinement memo of `algebraic`, whose cell only ever narrows.
+    refinement memo of `algebraic`, whose cell only ever narrows.  Contexts
+    compare by identity: two roots of one modulus are different contexts.
     """
 
     def __init__(self, modulus, root: AlgebraicReal):
@@ -42,7 +42,7 @@ class ResidueContext:
         if polys.gcd(root.defining, modulus) != root.defining:
             raise ValueError("root.defining must divide the modulus")
         self.modulus = modulus
-        self._root, self._slot = root, memo_slot(root)
+        self._slot = memo_slot(root)
         self._lock = threading.Lock()
         self._powers = [polys.ONE]
         self.zero = ResidueElement(self, (), 1)
@@ -56,12 +56,6 @@ class ResidueContext:
     @staticmethod
     def for_largest_root(p) -> "ResidueContext":
         return ResidueContext(p, isolate_largest_real_root(p))
-
-    def __eq__(self, other):
-        return isinstance(other, ResidueContext) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(self.modulus)
 
     # -- construction -----------------------------------------------------
 
@@ -111,8 +105,8 @@ class ResidueElement:
             return ResidueElement(self.context, (other,) if other else (), 1)
         if not isinstance(other, ResidueElement):
             return self.context.reduce([other])
-        if other.context != self.context:
-            raise ModulusMismatch("operands reduced modulo different polynomials")
+        if other.context is not self.context:
+            raise ModulusMismatch("operands belong to different residue contexts")
         return other
 
     def __add__(self, other):
@@ -190,23 +184,8 @@ def residue_is_zero(e: ResidueElement) -> bool:
 
 
 def residue_sign(e: ResidueElement) -> int:
-    """Exact sign of the representative at the distinguished root.
-
-    Interval Horner certifies nonzero signs, narrowing the root 2**-20 per
-    undecided round; after three such rounds `_vanishes_at` certifies a
-    zero or rules it out, so a zero verdict never rests on an interval.
-    The context's slot of the refinement memo gives the first cell without
-    a lock, and takes each narrower cell back.
-    """
-    if e.is_zero_poly:
-        return 0
-    ctx = e.context
-    cell = ctx._slot.cell
-    for undecided in itertools.count(1):
-        s = polys.interval_sign(e.num, *cell[:3])
-        if s or (undecided == 3 and _vanishes_at(e.num, ctx._root)):
-            return s
-        cell = ctx._slot.narrow(cell, 20)
+    """Exact sign of the representative at the distinguished root."""
+    return e.context._slot.sign(e.num) if e.num else 0
 
 
 def reduced_modulus_context(p, denominators) -> ResidueContext:
@@ -224,7 +203,7 @@ def reduced_modulus_context(p, denominators) -> ResidueContext:
             g = polys.gcd(m, d)
             if polys.degree(g) < 1:
                 break
-            if _vanishes_at(g, root):
+            if vanishes_at(g, root):
                 raise NotInvertible(
                     f"denominator {polys.poly_to_string(d)} vanishes at the root"
                 )
@@ -237,13 +216,3 @@ def reduced_modulus_context(p, denominators) -> ResidueContext:
         if polys.sturm_count(sf, root.interval.lo, root.interval.hi) != 1:
             raise NotIsolating("the reduced modulus lost its root in the isolating interval")
     return ResidueContext(m, root)
-
-
-def _vanishes_at(g, root: AlgebraicReal) -> bool:
-    """Zero certificate: g(root) == 0 iff gcd(g, root.defining) has a root
-    in root's interval.  The gcd divides root.defining, so the interval's
-    endpoints, which are no roots of root.defining, are none of the gcd."""
-    common = polys.gcd(g, root.defining)
-    if polys.degree(common) < 1:
-        return False
-    return polys.sturm_count(common, root.interval.lo, root.interval.hi) >= 1

@@ -31,35 +31,27 @@ class WeylGenerator:
             return matrices.permutation_matrix(self.data, n)
         return cremona_involution_on(self.data, n)
 
-    def to_json_dict(self, side: str) -> dict:
-        return {"side": side, "kind": self.kind, "indices": list(self.data)}
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    side: str  # 'left' or 'right'
-    generator: WeylGenerator
-
 
 @dataclass(frozen=True)
 class ReductionTrace:
+    """Quadratic generators, each multiplied on the left in turn."""
+
     steps: tuple
     terminal: tuple
 
     @property
     def quadratic_steps(self) -> int:
-        return sum(1 for s in self.steps if s.generator.kind == "quadratic")
+        return len(self.steps)
 
     def replay(self, start: tuple) -> tuple:
         cur = start
         n = len(start)
-        for step in self.steps:
-            g = step.generator.matrix(n)
-            cur = matrices.mat_mul(g, cur) if step.side == "left" else matrices.mat_mul(cur, g)
+        for gen in self.steps:
+            cur = matrices.mat_mul(gen.matrix(n), cur)
         return cur
 
     def to_json_list(self) -> list:
-        return [s.generator.to_json_dict(s.side) for s in self.steps]
+        return [{"side": "left", "kind": g.kind, "indices": list(g.data)} for g in self.steps]
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,7 @@ def reduce(m: tuple):
             return NotReduced(cur, "no quadratic step decreases the degree")
         gen = quadratic_generator(top)
         cur = matrices.mat_mul(gen.matrix(n), cur)
-        steps.append(TraceStep("left", gen))
+        steps.append(gen)
 
 
 def is_weyl_member(m: tuple):

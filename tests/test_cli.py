@@ -84,7 +84,7 @@ def test_weyl_output(capsys):
     payload = json.loads(out)
     assert payload["member"] is True
     assert payload["quadratic_steps"] == 3
-    assert all(step["side"] in ("left", "right") for step in payload["trace"])
+    assert all(step["side"] == "left" for step in payload["trace"])
 
 
 def test_weyl_non_isometry_is_parameter_error(capsys):

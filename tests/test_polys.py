@@ -173,6 +173,16 @@ def test_sturm_endpoint_error():
         polys.sturm_count((-4, 0, 1), -3, 2)
 
 
+def test_sturm_count_constants_and_degenerate_intervals():
+    assert polys.sturm_count((5,), -1, 1) == 0               # a constant has no root
+    assert polys.sturm_count((-2, 0, 1), 1, 1) == 0          # lo == hi at a non-root
+    with pytest.raises(EndpointIsRoot):
+        polys.sturm_count((-4, 0, 1), 2, 2)                  # lo == hi at a root
+    with pytest.raises(EndpointIsRoot):
+        # the non-canonical zero a stored record can parse to vanishes everywhere
+        polys.sturm_count((0,), -1, 1)
+
+
 def test_sturm_counts_multiple_roots_once():
     p = polys.pow_int((-2, 1), 2)  # (X-2)^2
     assert polys.sturm_count(p, 1, 3) == 1

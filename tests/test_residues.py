@@ -116,6 +116,17 @@ def test_modulus_mismatch(ctx):
         _ = ctx.one + other.one
 
 
+def test_contexts_at_two_roots_of_one_modulus_do_not_mix():
+    # sqrt(2) and -sqrt(2) are roots of one modulus; if their contexts mixed,
+    # sqrt(2) - (-sqrt(2)) would be the zero polynomial
+    m = (-2, 0, 1)
+    pos = ResidueContext(m, algebraic.AlgebraicReal(m, algebraic.RationalInterval(1, 2)))
+    neg = ResidueContext(m, algebraic.AlgebraicReal(m, algebraic.RationalInterval(-2, -1)))
+    with pytest.raises(ModulusMismatch, match="different residue contexts"):
+        residue_is_zero(pos.x_power(1) - neg.x_power(1))
+    assert residue_sign(pos.x_power(1)) == 1 and residue_sign(neg.x_power(1)) == -1
+
+
 def test_inverse_roundtrip(ctx):
     e = ctx.reduce([-1, 1])  # lambda - 1
     inv = e.inverse()
@@ -202,13 +213,13 @@ def test_certificate_finds_no_zero_then_sign_narrows_on(monkeypatch):
     while q * q0 <= 2**100:  # |lambda - p/q| < 1/(q * q0)
         p0, q0, p, q = p, q, 3 * p + p0, 3 * q + q0
     certified = []
-    vanishes_at = residues._vanishes_at
+    vanishes_at = algebraic.vanishes_at
 
     def recorded(g, root):
         certified.append(vanishes_at(g, root))
         return certified[-1]
 
-    monkeypatch.setattr(residues, "_vanishes_at", recorded)
+    monkeypatch.setattr(algebraic, "vanishes_at", recorded)
     # a fresh refinement memo, so lambda starts from its isolating interval;
     # the sign of lambda - p/q = (3 + sqrt(13))/2 - p/q comes from integers
     monkeypatch.setattr(algebraic, "_MEMO", {})
