@@ -134,15 +134,14 @@ class SpectrumStore:
         """(line number, parsed record) for each line that parses."""
         if not self.path.exists():
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
             lines = fh.readlines()
         for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError:
+                line = line.decode("utf-8").strip()
+                if line:
+                    yield lineno, json.loads(line)
+            except ValueError:  # not UTF-8, or not JSON
                 if lineno == len(lines):
                     continue  # torn final line from a concurrent writer
                 warnings.warn(f"{self.path}:{lineno}: unparseable record skipped")

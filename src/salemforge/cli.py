@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     except (StructureViolation, CensusContradiction) as exc:
         print(f"internal contradiction: {exc}", file=sys.stderr)
         return 1
-    except SalemforgeError as exc:
+    except (SalemforgeError, OSError) as exc:  # OSError: the --cache path cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

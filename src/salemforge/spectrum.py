@@ -99,8 +99,6 @@ def is_level_member(key: SpectrumKey) -> bool:
         return False
     smaller = t[:-2] + (t[-2] - 1,)
     smaller_key = SpectrumKey(key.d, smaller)
-    if any(a >= b for a, b in zip(smaller, smaller[1:])):
-        return False
     if not is_level_member(smaller_key):
         return False
     return compare(_dominant_root(smaller_key), _dominant_root(key)) == LESS
@@ -157,6 +155,8 @@ def enumerate_level_prefix(d: int, m: int, limit: int, bound: int) -> list:
 def verify_monotone_increase(key: SpectrumKey, position: int) -> bool:
     """Exact check that incrementing entry `position` increases the value."""
     t = key.tuple
+    if not 0 <= position < len(t):
+        raise InvalidKey(f"position {position} out of range for {t}")
     bumped = SpectrumKey(key.d, t[:position] + (t[position] + 1,) + t[position + 1 :])
     return compare(_dominant_root(key), _dominant_root(bumped)) == LESS
 
@@ -178,10 +178,6 @@ class LimitReport:
     gap_bound: Fraction
     tolerance: Fraction
 
-    @property
-    def passed(self) -> bool:
-        return self.gap_bound < self.tolerance
-
 
 def verify_limit_convergence(d: int, prefix: tuple, first: int, last: int, tolerance) -> LimitReport:
     """Certify monotone convergence of the extended values to the prefix value.
@@ -191,6 +187,8 @@ def verify_limit_convergence(d: int, prefix: tuple, first: int, last: int, toler
     must be certified below `tolerance`; otherwise ToleranceNotReached
     carries the best bound achieved.
     """
+    if first > last:
+        raise InvalidKey(f"empty range: first = {first} > last = {last}")
     tolerance = Fraction(tolerance)
     base = SpectrumKey(d, tuple(prefix))
     keys = [SpectrumKey(d, base.tuple + (n,)) for n in range(first, last + 1)]

