@@ -96,6 +96,8 @@ def record_to_entry(record: dict):
         lo = str_to_frac(record["interval"]["lo"])
         hi = str_to_frac(record["interval"]["hi"])
         census = UnitCircleCensus(**record["census"])
+        if not all(type(c) is int for c in (census.inside, census.on, census.outside)):
+            raise TypeError(f"census counts must be integers, got {record['census']}")
         label = record["label"]
         fits = label in LABELS and census.total == polys.degree(key_poly) and census.outside == 1
     except (KeyError, ValueError, TypeError) as exc:

@@ -22,15 +22,11 @@ class NoSplitPoint(SalemforgeError):
 
 
 class InvalidOrbitData(SalemforgeError):
-    """Orbit data violates d >= 1, n_i >= 1 or m <= 2d-1."""
+    """Orbit data is not integral or violates d >= 1, n_i >= 1 or m <= 2d-1."""
 
 
 class StructureViolation(SalemforgeError):
     """A structural matrix identity failed; signals an implementation bug."""
-
-
-class InvalidRoot(SalemforgeError):
-    """A reflection vector does not have self-intersection -2."""
 
 
 class IndexClash(SalemforgeError):

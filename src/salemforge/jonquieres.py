@@ -19,7 +19,7 @@ from .errors import InvalidOrbitData, StructureViolation
 
 @dataclass(frozen=True)
 class OrbitData:
-    """Degree d >= 1 and orbit lengths (n_2, ..., n_m), each >= 1.
+    """Integer degree d >= 1 and integer orbit lengths (n_2, ..., n_m), each >= 1.
 
     m = 1 + len(tuple) must satisfy m <= 2d - 1.  Entries >= 2 are required
     only by the root-theoretic operations, which enforce it themselves.
@@ -29,7 +29,9 @@ class OrbitData:
     tuple: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "tuple", tuple(int(n) for n in self.tuple))
+        object.__setattr__(self, "tuple", tuple(self.tuple))
+        if not all(type(n) is int for n in (self.d, *self.tuple)):  # no float, str or bool
+            raise InvalidOrbitData(f"degree and orbit lengths must be integers, got {self.d!r}, {self.tuple!r}")
         if self.d < 1:
             raise InvalidOrbitData(f"degree must be >= 1, got {self.d}")
         if any(n < 1 for n in self.tuple):

@@ -37,7 +37,9 @@ class SpectrumKey:
     tuple: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tuple", tuple(int(n) for n in self.tuple))
+        object.__setattr__(self, "tuple", tuple(self.tuple))
+        if not all(type(n) is int for n in (self.d, *self.tuple)):  # no float, str or bool
+            raise InvalidKey(f"spectrum keys need integer d and entries, got {self.d!r}, {self.tuple!r}")
         if self.d < 4:
             raise InvalidKey(f"spectrum keys need d >= 4, got {self.d}")
         if any(n < 2 for n in self.tuple):

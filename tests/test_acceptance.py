@@ -42,7 +42,7 @@ from salemforge.spectrum import (
     verify_limit_convergence,
     verify_monotone_increase,
 )
-from salemforge.weyl import is_weyl_member, permutation_generator, quadratic_generator
+from salemforge.weyl import cremona_involution_on, is_weyl_member
 
 
 def sweep_orbits():
@@ -179,10 +179,10 @@ def test_criterion_9_weyl_membership():
         cur = matrices.identity(n)
         for _ in range(rng.randrange(0, 13)):
             if rng.random() < 0.5:
-                gen = permutation_generator(tuple([0] + rng.sample(range(1, n), n - 1)))
+                gen = matrices.permutation_matrix((0, *rng.sample(range(1, n), n - 1)), n)
             else:
-                gen = quadratic_generator(tuple(rng.sample(range(1, n), 3)))
-            cur = matrices.mat_mul(cur, gen.matrix(n))
+                gen = cremona_involution_on(tuple(rng.sample(range(1, n), 3)), n)
+            cur = matrices.mat_mul(cur, gen)
         member, trace = is_weyl_member(cur)
         assert member
         assert trace.replay(cur) == trace.terminal

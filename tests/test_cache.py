@@ -239,6 +239,11 @@ def test_unusable_interval_is_skipped_with_warning(tmp_path, lo, hi):
         ({"label": "salem"}, "does not fit"),
         ({"poly": ["0"], "interval": {"lo": "5", "hi": "5"}}, "unusable"),
         ({"census": {"inside": None, "on": 2, "outside": 1}}, "malformed"),
+        # keys and counts that are not all integers, once coerced to this key
+        ({"d": 4.0}, "malformed"),
+        ({"tuple": "33"}, "malformed"),
+        ({"tuple": [3, 3.9]}, "malformed"),
+        ({"census": {"inside": 4.0, "on": 3, "outside": 1}}, "malformed"),
     ],
 )
 def test_record_not_tied_to_its_key_is_skipped(tmp_path, change, reason):

@@ -70,6 +70,13 @@ def test_orbit_data_validation():
     OrbitData(4, (2,) * 6)  # m = 7 is allowed
 
 
+def test_orbit_data_needs_integers():
+    for d, tup in ((4.0, ()), ("4", ()), (4, "2"), (4, (2.9,)), (4, (1, True))):
+        with pytest.raises(InvalidOrbitData, match="integers"):
+            OrbitData(d, tup)
+    assert OrbitData(4, [2, 3]).tuple == (2, 3)
+
+
 def test_matrix_sizes():
     assert len(jonquieres_matrix(OrbitData(4, (2,)))) == 5
     assert len(jonquieres_matrix(OrbitData(4, (2, 3, 4, 5, 6, 7)))) == 30

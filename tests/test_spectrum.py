@@ -46,6 +46,13 @@ def test_key_validation():
     SpectrumKey(4, (2, 3, 4))
 
 
+def test_key_needs_integers():
+    for d, tup in ((4.0, ()), (4.5, ()), ("4", ()), (4, "2"), (4, (2.9,)), (4, (3.0,)), (4, (True, 2))):
+        with pytest.raises(InvalidKey, match="integer"):
+            SpectrumKey(d, tup)
+    assert SpectrumKey(4, [2, 3]).tuple == (2, 3)
+
+
 def test_dynamical_degree_quadratic_anchor():
     v = dynamical_degree(SpectrumKey(4), Fraction(1, 10**9))
     target = (3 + sqrt_fraction(13, 14)) / 2

@@ -1,4 +1,4 @@
-"""Reflection generators and the greedy membership reduction.
+"""Quadratic steps and the greedy membership reduction.
 
 For rank 3 (size-4 matrices) the group generated by the simple reflections
 is finite, so a breadth-first closure serves as an exhaustive oracle both
@@ -10,18 +10,16 @@ import random
 import pytest
 
 from salemforge import matrices
-from salemforge.errors import IndexClash, InvalidRoot, NotAnIsometry
+from salemforge.errors import IndexClash, NotAnIsometry
 from salemforge.jonquieres import OrbitData, jonquieres_matrix
 from salemforge.weyl import (
     NotReduced,
     ReductionTrace,
+    _quadratic_step,
     cremona_involution_on,
     is_weyl_member,
-    permutation_generator,
     preserves_form,
-    quadratic_generator,
     reduce,
-    reflection_matrix,
 )
 
 CREMONA_BLOCK = (
@@ -32,25 +30,29 @@ CREMONA_BLOCK = (
 )
 
 
-def test_reflection_transposition():
-    r = reflection_matrix((0, 1, -1, 0))
-    assert r == matrices.permutation_matrix((0, 2, 1, 3), 4)
-
-
 def test_reflection_gives_cremona_block():
-    assert reflection_matrix((1, -1, -1, -1)) == CREMONA_BLOCK
+    r = cremona_involution_on((1, 2, 3), 4)
+    assert r == CREMONA_BLOCK
+    assert matrices.mat_mul(r, r) == matrices.identity(4)
+    assert preserves_form(r)
 
 
-def test_reflection_involution_and_form():
-    for alpha in ((1, -1, -1, -1), (0, 1, -1, 0), (0, 0, 1, -1)):
-        r = reflection_matrix(alpha)
-        assert matrices.mat_mul(r, r) == matrices.identity(4)
-        assert preserves_form(r)
-
-
-def test_reflection_invalid_root():
-    with pytest.raises(InvalidRoot):
-        reflection_matrix((1, -1, 0, 0))
+def test_quadratic_step_matches_reflection():
+    # oracle: x -> x + (x . alpha) alpha on each column, for the form
+    # x . y = x0 y0 - x1 y1 - ... - x_{n-1} y_{n-1}
+    rng = random.Random(18)
+    for _ in range(200):
+        n = rng.randrange(4, 31)
+        t = tuple(rng.sample(range(1, n), 3))
+        alpha = [1] + [-1 if r in t else 0 for r in range(1, n)]
+        m = tuple(tuple(rng.randrange(-50, 51) for _ in range(n)) for _ in range(n))
+        cols = []
+        for c in range(n):
+            x = [row[c] for row in m]
+            dot = x[0] * alpha[0] - sum(x[r] * alpha[r] for r in range(1, n))
+            cols.append([x[r] + dot * alpha[r] for r in range(n)])
+        want = tuple(tuple(col[r] for col in cols) for r in range(n))
+        assert _quadratic_step(m, t) == want
 
 
 def test_cremona_involution_on_padding_and_conjugation():
@@ -89,23 +91,20 @@ def test_reduce_rejects_non_isometry():
 
 def random_word_matrix(rng, n, length):
     cur = matrices.identity(n)
-    gens = []
     for _ in range(length):
         if rng.random() < 0.5:
-            perm = [0] + rng.sample(range(1, n), n - 1)
-            g = permutation_generator(tuple(perm))
+            g = matrices.permutation_matrix((0, *rng.sample(range(1, n), n - 1)), n)
         else:
-            g = quadratic_generator(tuple(rng.sample(range(1, n), 3)))
-        gens.append(g)
-        cur = matrices.mat_mul(cur, g.matrix(n))
-    return cur, gens
+            g = cremona_involution_on(tuple(rng.sample(range(1, n), 3)), n)
+        cur = matrices.mat_mul(cur, g)
+    return cur
 
 
 def test_random_words_certify_membership():
     rng = random.Random(2024)
     for _ in range(40):
         n = rng.randrange(4, 11)
-        m, _ = random_word_matrix(rng, n, rng.randrange(0, 13))
+        m = random_word_matrix(rng, n, rng.randrange(0, 13))
         member, trace = is_weyl_member(m)
         assert member
         assert trace.replay(m) == trace.terminal
@@ -135,9 +134,9 @@ def test_signed_permutation_is_not_member():
 def bfs_closure_rank3():
     """All of the rank-3 group, generated by the simple reflections."""
     gens = [
-        reflection_matrix((1, -1, -1, -1)),
-        reflection_matrix((0, 1, -1, 0)),
-        reflection_matrix((0, 0, 1, -1)),
+        cremona_involution_on((1, 2, 3), 4),
+        matrices.permutation_matrix((0, 2, 1, 3), 4),
+        matrices.permutation_matrix((0, 1, 3, 2), 4),
     ]
     seen = {matrices.identity(4)}
     frontier = [matrices.identity(4)]
@@ -185,9 +184,3 @@ def test_generators_preserve_form_exactly():
         assert preserves_form(g)
         perm = [0] + rng.sample(range(1, n), n - 1)
         assert preserves_form(matrices.permutation_matrix(tuple(perm), n))
-
-
-def test_permutation_generator_must_fix_index_0():
-    assert permutation_generator((0, 2, 1)).data == (0, 2, 1)
-    with pytest.raises(ValueError, match="fix index 0"):
-        permutation_generator((1, 0, 2))
