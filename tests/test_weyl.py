@@ -37,6 +37,26 @@ def test_reflection_gives_cremona_block():
     assert preserves_form(r)
 
 
+def _reflection_in(alpha):
+    # x -> x + (x . alpha) alpha, for a root with alpha . alpha = -2
+    n = len(alpha)
+    sign = (1,) + (-1,) * (n - 1)
+    return tuple(
+        tuple(int(r == c) + sign[c] * alpha[c] * alpha[r] for c in range(n)) for r in range(n)
+    )
+
+
+def test_reflection_involution_and_form():
+    for alpha, r in (
+        ((1, -1, -1, -1), cremona_involution_on((1, 2, 3), 4)),
+        ((0, 1, -1, 0), matrices.permutation_matrix((0, 2, 1, 3), 4)),
+        ((0, 0, 1, -1), matrices.permutation_matrix((0, 1, 3, 2), 4)),
+    ):
+        assert r == _reflection_in(alpha)
+        assert matrices.mat_mul(r, r) == matrices.identity(4)
+        assert preserves_form(r)
+
+
 def test_quadratic_step_matches_reflection():
     # oracle: x -> x + (x . alpha) alpha on each column, for the form
     # x . y = x0 y0 - x1 y1 - ... - x_{n-1} y_{n-1}
