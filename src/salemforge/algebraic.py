@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,10 +86,10 @@ _MEMO_LOCK = threading.Lock()
 class MemoSlot:
     """The deepest known cell of one root; reading it takes no lock."""
 
-    __slots__ = ("defining", "cell")
+    __slots__ = ("defining", "cell", "_powers")
 
     def __init__(self, defining: tuple, cell: tuple):
-        self.defining, self.cell = defining, cell
+        self.defining, self.cell, self._powers = defining, cell, None
 
     @property
     def root(self) -> AlgebraicReal:
@@ -97,12 +98,22 @@ class MemoSlot:
     def sign(self, g) -> int:
         """Exact sign of the nonzero polynomial g at this root.
 
-        Interval Horner certifies nonzero signs, narrowing the cell 2**-20
-        per undecided round; after three such rounds `vanishes_at` certifies
-        a zero or rules it out, so a zero verdict never rests on an interval.
-        The first cell is read without a lock, and each narrower one is kept.
+        On a cell with lo >= 0, two dot products with the slot's power
+        table decide most signs.  Interval Horner certifies the rest,
+        narrowing the cell 2**-20 per undecided round; after three such
+        rounds `vanishes_at` certifies a zero or rules it out, so a zero
+        verdict never rests on an interval.  The first cell is read
+        without a lock, and each narrower one is kept.
         """
         cell = self.cell
+        if cell[0] >= 0:
+            table = self._powers
+            if table is None or table[0] != cell or len(table[1]) < len(g):
+                # one assignment, so a reader sees a whole table with its cell
+                self._powers = table = _power_table(cell, max(len(g), len(table[1]) if table else 0))
+            c = sum(map(operator.mul, g, table[1]))
+            if abs(c) > sum(map(operator.mul, map(abs, g), table[2])):
+                return 1 if c > 0 else -1
         for undecided in itertools.count(1):
             s = polys.interval_sign(g, *cell[:3])
             if s or (undecided == 3 and vanishes_at(g, _real(self.defining, cell))):
@@ -110,6 +121,25 @@ class MemoSlot:
             for _ in range(20):
                 cell = _halve(self.defining, cell)
             _remember(self, cell)
+
+
+def _power_table(cell, n) -> tuple:
+    """(cell, mid, rad) for x**k on the cell [lo/den, hi/den], lo >= 0, k < n.
+
+    With B = den.bit_length() + 32, l_k = floor(lo**k * 2**B / den**k) and
+    h_k = ceil(hi**k * 2**B / den**k), so x**k lies in [l_k, h_k] / 2**B
+    for every x of the cell; mid_k = l_k + h_k and rad_k = h_k - l_k.  So
+    g(x) * 2**(B+1) lies within sum |g_k| * rad_k of sum g_k * mid_k.
+    """
+    lo, hi, den = cell[:3]
+    lk = hk = 1 << (den.bit_length() + 32)
+    dk, mid, rad = 1, [], []
+    for _ in range(n):
+        l, h = lk // dk, -(-hk // dk)
+        mid.append(l + h)
+        rad.append(h - l)
+        lk, hk, dk = lk * lo, hk * hi, dk * den
+    return cell, tuple(mid), tuple(rad)
 
 
 def _real(f, cell) -> AlgebraicReal:

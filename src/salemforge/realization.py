@@ -206,7 +206,7 @@ class VerificationReport:
                 name: [
                     {
                         "name": r.name,
-                        "expression": [ratio_to_str(c, r.den) for c in r.num],
+                        "expression": [str(c) if r.den == 1 else ratio_to_str(c, r.den) for c in r.num],
                         "expected": r.expected,
                         "pass": r.passed,
                     }

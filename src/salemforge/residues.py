@@ -15,6 +15,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import polys
 # `refine` stays importable as residues.refine, which the benchmark tracer's alias test reads
@@ -82,14 +83,15 @@ class ResidueContext:
         return num
 
     def _make(self, num, den: int) -> "ResidueElement":
+        """num/den in lowest terms with den > 0; num has no trailing zero."""
         if not num:
-            return ResidueElement(self, (), 1)
-        if den == 1:
-            return ResidueElement(self, num, 1)
-        g = math.gcd(polys.content(num), den)
+            return self.zero
+        g = math.gcd(den, *num)
         if den < 0:
             g = -g
-        return ResidueElement(self, tuple(c // g for c in num), den // g)
+        if g != 1:
+            num, den = tuple(c // g for c in num), den // g
+        return ResidueElement(self, num, den)
 
 
 @dataclass(frozen=True)
@@ -103,16 +105,25 @@ class ResidueElement:
     def _check(self, other) -> "ResidueElement":
         if isinstance(other, int):
             return ResidueElement(self.context, (other,) if other else (), 1)
-        if not isinstance(other, ResidueElement):
+        if isinstance(other, Fraction):
             return self.context.reduce([other])
+        if not isinstance(other, ResidueElement):
+            # a float would enter the ring as its binary value, not as the decimal it prints
+            raise TypeError(f"residue operands are int, Fraction or ResidueElement, not {type(other).__name__}")
         if other.context is not self.context:
             raise ModulusMismatch("operands belong to different residue contexts")
         return other
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other, in one pass over the lcm of the denominators."""
         other = self._check(other)
-        num = polys.add(polys.scale(self.num, other.den), polys.scale(other.num, self.den))
-        return self.context._make(num, self.den * other.den)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        num = polys.normalize([a * x + b * y for x, y in zip_longest(self.num, other.num, fillvalue=0)])
+        return self.context._make(num, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -120,12 +131,14 @@ class ResidueElement:
         return ResidueElement(self.context, polys.neg(self.num), self.den)
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return self.context._make(polys.scale(self.num, other), self.den)
         other = self._check(other)
         num = self.context._mod(polys.mul(self.num, other.num))
         return self.context._make(num, self.den * other.den)
@@ -133,6 +146,9 @@ class ResidueElement:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """self**k; a negative k raises the inverse, or NotInvertible."""
+        if k < 0:
+            return self.inverse() ** -k
         out = self.context.one
         base = self
         while k > 0:

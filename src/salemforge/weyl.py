@@ -69,8 +69,7 @@ def _quadratic_step(m: tuple, indices) -> tuple:
 
 def cremona_involution_on(indices, n: int) -> tuple:
     """Matrix of the quadratic step on e0 and three chosen exceptional indices."""
-    i, j, k = indices
-    if len({i, j, k}) != 3 or not all(1 <= t <= n - 1 for t in (i, j, k)):
+    if len(indices) != 3 or len(set(indices)) != 3 or not all(1 <= t <= n - 1 for t in indices):
         raise IndexClash(f"need three distinct indices in 1..{n - 1}, got {indices}")
     return _quadratic_step(matrices.identity(n), indices)
 

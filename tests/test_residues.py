@@ -4,13 +4,16 @@ Long-division oracles are computed inline with Fractions; the context
 polynomial X^2-3X-1 has lambda = (3+sqrt(13))/2 as its distinguished root.
 """
 
+import math
+import operator
 import random
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from salemforge import algebraic, polys, residues
@@ -195,6 +198,55 @@ def test_sign_multiplicative(ctx):
                 assert residue_sign(a * b) == sa * sb
 
 
+def test_negative_power_is_a_power_of_the_inverse(ctx):
+    x = ctx.x_power(1)
+    assert x**-1 == x.inverse() == x - 3  # lambda^2 = 3 lambda + 1
+    assert x**-3 == x.inverse() ** 3
+    assert (x**-2 * x**2 - 1).is_zero_poly
+    shared = ResidueContext.for_largest_root(polys.mul(GOLDEN, (-7, 1)))
+    with pytest.raises(NotInvertible):
+        shared.reduce([-7, 1]) ** -1
+    with pytest.raises(NotInvertible):
+        ctx.zero**-2
+
+
+def test_float_operand_is_refused(ctx):
+    # 0.1 is not 1/10; an exact ring takes only exact operands
+    x = ctx.x_power(1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, 0.1)
+        with pytest.raises(TypeError):
+            op(0.1, x)
+    assert x + Fraction(1, 10) == ctx.reduce([Fraction(1, 10), 1])
+    assert x - 2 == ctx.reduce([-2, 1]) and 2 - x == ctx.reduce([2, -1])
+
+
+fracs = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=4)
+
+
+@given(fracs, fracs, st.integers(-6, 6))
+@settings(max_examples=80, deadline=None)
+def test_ring_ops_give_the_reduced_representative(p, q, k):
+    # sums, differences and integer multiples against Fraction arithmetic;
+    # the representative is num/den in lowest terms with den > 0
+    ctx = ResidueContext.for_largest_root(GOLDEN)
+    a, b = ctx.reduce(p), ctx.reduce(q)
+    pad = lambda c: list(c) + [Fraction(0)] * (4 - len(c))
+    pp, qq = pad(p), pad(q)
+    cases = (
+        (a + b, [x + y for x, y in zip(pp, qq)]),
+        (a - b, [x - y for x, y in zip(pp, qq)]),
+        (k * a, [k * x for x in pp]),
+        (a * k - b, [k * x - y for x, y in zip(pp, qq)]),
+        (k - a, [k - pp[0]] + [-x for x in pp[1:]]),
+    )
+    for got, coeffs in cases:
+        assert got == ctx.reduce(coeffs)
+        assert got.den > 0 and (not got.num or math.gcd(got.den, *got.num) == 1)
+        assert not got.num or got.num[-1] != 0
+
+
 @given(st.lists(st.fractions(min_value=-5, max_value=5), min_size=0, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_reduce_matches_long_division(coeffs):
@@ -371,3 +423,148 @@ def test_sign_narrows_a_context_whose_memo_entry_was_evicted(monkeypatch):
     assert sign_within(ctx.reduce([Fraction(-1414, 1000), 1])) == 1
     assert ctx.root.interval.width <= Fraction(1, 2**20)
     assert residue_is_zero(ctx.reduce([-2, 0, 0]) + ctx.x_power(2))
+
+
+# -- the power table of a memo slot -----------------------------------------
+
+
+def table_off(cell, n):
+    # mid 0 and radius 1: |c| > r never holds, so every sign takes the loop
+    return cell, (0,) * n, (1,) * n
+
+
+def positive_cell(f):
+    """The largest root's isolating cell, halved until lo >= 0; None if
+    that root is not positive."""
+    cell = algebraic._cell(algebraic.isolate_largest_real_root(f))
+    while cell[0] < 0 < cell[1]:
+        cell = algebraic._halve(f, cell)
+    return cell if cell[0] >= 0 else None
+
+
+@st.composite
+def defining_and_signs(draw):
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=3, max_size=8).filter(lambda c: c[-1] and c[0]))
+    f = polys.primitive(polys.square_free_part(tuple(coeffs)))
+    assume(polys.count_real_roots(f) > 0)
+    cell = positive_cell(f)
+    assume(cell is not None)
+    short = st.lists(st.integers(-40, 40), min_size=1, max_size=len(f) - 1)
+    gs = draw(st.lists(short.map(polys.normalize).filter(bool), min_size=1, max_size=6))
+    # 2 den X - (lo + hi) for the midpoint of a deeper cell, so that some
+    # signs need a narrow cell
+    for depth in draw(st.lists(st.integers(8, 40), max_size=2)):
+        deep = cell
+        for _ in range(depth):
+            deep = algebraic._halve(f, deep)
+        gs.append((-(deep[0] + deep[1]), 2 * deep[2]))
+    return f, cell, gs
+
+
+@given(defining_and_signs())
+@settings(max_examples=60, deadline=None)
+def test_table_signs_match_the_loop(case):
+    f, cell, gs = case
+    with_table = [algebraic.MemoSlot(f, cell).sign(g) for g in gs]
+    with mock.patch.object(algebraic, "_power_table", table_off):
+        without = [algebraic.MemoSlot(f, cell).sign(g) for g in gs]
+    assert with_table == without
+    # and one slot answering every g in turn, its table growing with g
+    slot = algebraic.MemoSlot(f, cell)
+    assert [slot.sign(g) for g in gs] == with_table
+
+
+def test_zero_verdicts_go_through_the_certificate(monkeypatch):
+    # multiples of the quadratic factor vanish at its root lambda = 3.30...,
+    # the largest root of the reducible modulus; each zero is certified
+    certified = []
+    vanishes_at = algebraic.vanishes_at
+
+    def counted(g, root):
+        certified.append(vanishes_at(g, root))
+        return certified[-1]
+
+    monkeypatch.setattr(algebraic, "vanishes_at", counted)
+    monkeypatch.setattr(algebraic, "_MEMO", {})
+    ctx = ResidueContext.for_largest_root(polys.mul(GOLDEN, (-2, 0, 0, 1)))
+    rng = random.Random(7)
+    for n in range(1, 13):
+        h = polys.normalize(rng.randint(-30, 30) for _ in range(3)) or (1,)
+        e = ctx.reduce(polys.mul(GOLDEN, h))
+        assert not e.is_zero_poly and residue_sign(e) == 0
+        assert certified == [True] * n
+    assert ctx._slot._powers is not None and ctx._slot.cell[0] >= 0
+
+
+def test_negative_root_takes_the_loop(monkeypatch):
+    # the largest root of X^2 + 3X + 1 is (-3 + sqrt(5))/2 = -0.3819...,
+    # isolated in the cell (-2, 0, 1): no table is built
+    def no_table(cell, n):
+        raise AssertionError("a table for a cell with lo < 0")
+
+    monkeypatch.setattr(algebraic, "_power_table", no_table)
+    monkeypatch.setattr(algebraic, "_MEMO", {})
+    ctx = ResidueContext.for_largest_root((1, 3, 1))
+    assert ctx._slot.cell[:3] == (-2, 0, 1)
+    assert residue_sign(ctx.x_power(1)) == -1
+    assert residue_sign(ctx.reduce([Fraction(38, 100), 1])) == -1
+    assert residue_sign(ctx.reduce([Fraction(382, 1000), 1])) == 1
+    assert residue_is_zero(ctx.x_power(2) + 3 * ctx.x_power(1) + 1)
+    assert ctx._slot._powers is None
+
+
+def realize_checks():
+    from salemforge import realization
+    from salemforge.spectrum import SpectrumKey
+
+    key = SpectrumKey(4, (2, 3, 4, 5, 6, 7))
+    report = realization.verify_realization(key)
+    return key, [r for _, results in report.groups for r in results]
+
+
+def test_undecided_table_gives_the_same_verdicts(monkeypatch):
+    # a radius of |mid| + rad makes r >= |c|, so every sign takes the loop
+    from salemforge import realization
+
+    key, checks = realize_checks()
+    power_table = algebraic._power_table
+
+    def undecided(cell, n):
+        cell, mid, rad = power_table(cell, n)
+        return cell, mid, tuple(abs(m) + r for m, r in zip(mid, rad))
+
+    calls = []
+    interval_sign = polys.interval_sign
+    monkeypatch.setattr(algebraic, "_power_table", undecided)
+    monkeypatch.setattr(polys, "interval_sign", lambda *a: calls.append(1) or interval_sign(*a))
+    monkeypatch.setattr(algebraic, "_MEMO", {})
+    report = realization.verify_realization(key)
+    assert [r for _, results in report.groups for r in results] == checks
+    assert len(calls) >= sum(r.expected != "zero" for r in checks)
+
+
+def test_table_signs_shared_across_threads(monkeypatch):
+    # 4 threads sign every realize check expression on one context, from a
+    # fresh memo, so the cell narrows and its table is rebuilt while others
+    # read it; every sign equals the one-thread sign on a context of its own
+    from salemforge import realization
+
+    key, checks = realize_checks()
+    monkeypatch.setattr(algebraic, "_MEMO", {})
+    serial_ctx = realization._context_for(key)
+    serial = [residue_sign(serial_ctx.reduce(r.expression)) for r in checks]
+    monkeypatch.setattr(algebraic, "_MEMO", {})
+    ctx = realization._context_for(key)
+    exprs = [ctx.reduce(r.expression) for r in checks]
+    got = [[None] * len(exprs) for _ in range(4)]
+
+    def work(i):
+        order = list(range(len(exprs)))
+        random.Random(i).shuffle(order)
+        for n in order:
+            got[i][n] = residue_sign(exprs[n])
+
+    run_threads(4, work)
+    assert all(signs == serial for signs in got)
+    cell, mid, rad = ctx._slot._powers
+    assert (mid, rad) == algebraic._power_table(cell, len(mid))[1:]

@@ -95,6 +95,10 @@ def test_cremona_involution_on_index_clash():
         cremona_involution_on((0, 1, 2), 6)
     with pytest.raises(IndexClash):
         cremona_involution_on((1, 2, 9), 6)
+    with pytest.raises(IndexClash):
+        cremona_involution_on((1, 2), 6)
+    with pytest.raises(IndexClash):
+        cremona_involution_on((1, 2, 3, 4), 6)
 
 
 def test_reduce_identity():
