@@ -98,15 +98,13 @@ class MemoSlot:
     def sign(self, g) -> int:
         """Exact sign of the nonzero polynomial g at this root.
 
-        On a cell with lo >= 0, two dot products with the slot's power
-        table decide most signs.  Interval Horner certifies the rest,
-        narrowing the cell 2**-20 per undecided round; after three such
-        rounds `vanishes_at` certifies a zero or rules it out, so a zero
-        verdict never rests on an interval.  The first cell is read
-        without a lock, and each narrower one is kept.
+        Two dot products with the power table of the current cell decide
+        most signs; each undecided round narrows the cell 2**-20 and keeps
+        it.  After three such rounds `vanishes_at` certifies a zero or rules
+        it out, so a zero verdict never rests on an interval.
         """
         cell = self.cell
-        if cell[0] >= 0:
+        for undecided in itertools.count(1):
             table = self._powers
             if table is None or table[0] != cell or len(table[1]) < len(g):
                 # one assignment, so a reader sees a whole table with its cell
@@ -114,28 +112,31 @@ class MemoSlot:
             c = sum(map(operator.mul, g, table[1]))
             if abs(c) > sum(map(operator.mul, map(abs, g), table[2])):
                 return 1 if c > 0 else -1
-        for undecided in itertools.count(1):
-            s = polys.interval_sign(g, *cell[:3])
-            if s or (undecided == 3 and vanishes_at(g, _real(self.defining, cell))):
-                return s
+            if undecided == 3 and vanishes_at(g, _real(self.defining, cell)):
+                return 0
             for _ in range(20):
                 cell = _halve(self.defining, cell)
             _remember(self, cell)
 
 
 def _power_table(cell, n) -> tuple:
-    """(cell, mid, rad) for x**k on the cell [lo/den, hi/den], lo >= 0, k < n.
+    """(cell, mid, rad) for x**k on the cell [lo/den, hi/den], k < n.
 
-    With B = den.bit_length() + 32, l_k = floor(lo**k * 2**B / den**k) and
-    h_k = ceil(hi**k * 2**B / den**k), so x**k lies in [l_k, h_k] / 2**B
-    for every x of the cell; mid_k = l_k + h_k and rad_k = h_k - l_k.  So
-    g(x) * 2**(B+1) lies within sum |g_k| * rad_k of sum g_k * mid_k.
+    With B = den.bit_length() + 32, x**k lies in [l_k, h_k] / 2**B for
+    every x of the cell, each bound rounded outward: [lo**k, hi**k] for
+    k = 0, odd k or lo >= 0; [hi**k, lo**k] for even k on a cell with
+    hi <= 0; [0, max(lo**k, hi**k)] for even k on a cell holding 0.
+    mid_k = l_k + h_k and rad_k = h_k - l_k, so g(x) * 2**(B+1) lies
+    within sum |g_k| * rad_k of sum g_k * mid_k.
     """
     lo, hi, den = cell[:3]
     lk = hk = 1 << (den.bit_length() + 32)
     dk, mid, rad = 1, [], []
-    for _ in range(n):
-        l, h = lk // dk, -(-hk // dk)
+    for k in range(n):
+        if k % 2 or lo >= 0 or not k:
+            l, h = lk // dk, -(-hk // dk)
+        else:  # even k >= 2, lo < 0: x**k falls to 0 or to hi**k
+            l, h = hk // dk if hi <= 0 else 0, -(-max(lk, hk) // dk)
         mid.append(l + h)
         rad.append(h - l)
         lk, hk, dk = lk * lo, hk * hi, dk * den

@@ -143,7 +143,7 @@ class SpectrumStore:
                 line = line.decode("utf-8").strip()
                 if line:
                     yield lineno, json.loads(line)
-            except ValueError:  # not UTF-8, or not JSON
+            except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep to parse
                 if lineno == len(lines):
                     continue  # torn final line from a concurrent writer
                 warnings.warn(f"{self.path}:{lineno}: unparseable record skipped")

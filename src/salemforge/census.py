@@ -197,7 +197,7 @@ def is_self_reciprocal(p) -> bool:
     return r == p or r == polys.neg(p)
 
 
-def salem_pisot_label(p, strip_degree_bound: int, on=None):
+def salem_pisot_label(p, on=None):
     """Best-effort Salem/Pisot label for the dominant root of p, as
     (label, stripped, removed); `on` is p's on-circle count if known.
 
@@ -208,12 +208,12 @@ def salem_pisot_label(p, strip_degree_bound: int, on=None):
     factoring, so the label stays undetermined.
 
     Every root of a cyclotomic factor lies on the circle, so Phi_n**k | p
-    forces k * phi(n) <= on: stripping to degree min(strip_degree_bound,
-    on) is exact, and the stripped on-count is `on` less the removed degrees.
+    forces k * phi(n) <= on: stripping to degree `on` is exact, and the
+    stripped on-count is `on` less the removed degrees.
     """
     if on is None:
         on = unit_circle_census(p).on
-    stripped, removed = strip_cyclotomic_factors(p, min(strip_degree_bound, on))
+    stripped, removed = strip_cyclotomic_factors(p, on)
     on -= sum(mult * euler_phi(n) for n, mult in removed)
     if on < 0:
         raise CensusContradiction("stripped cyclotomic roots outnumber the circle roots")

@@ -145,20 +145,9 @@ def eval_at(p: IntPoly, x):
 
 
 def _interval_hom(p: IntPoly, lo: int, hi: int, den: int) -> tuple:
-    """Integer interval Horner: den**deg(p) times the bounds for p on [lo/den, hi/den].
-
-    For lo >= 0 every x in the interval is nonnegative, so the least and
-    greatest of the four products a*x are fixed by the signs of alo and
-    ahi: two products per coefficient give the same bounds.
-    """
+    """Integer interval Horner: den**deg(p) times the bounds for p on [lo/den, hi/den]."""
     alo = ahi = p[-1]
     dk = 1
-    if lo >= 0:
-        for c in reversed(p[:-1]):
-            dk *= den
-            cd = c * dk
-            alo, ahi = alo * (lo if alo >= 0 else hi) + cd, ahi * (hi if ahi >= 0 else lo) + cd
-        return alo, ahi
     for c in reversed(p[:-1]):
         dk *= den
         cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
@@ -183,20 +172,6 @@ def eval_interval(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple:
     alo, ahi = _interval_hom(p, ilo, ihi, den)
     scale = den ** degree(p)
     return Fraction(alo, scale), Fraction(ahi, scale)
-
-
-def interval_sign(p: IntPoly, lo: int, hi: int, den: int) -> int:
-    """Sign of p on [lo/den, hi/den] certified by interval Horner; 0 if
-    undecided.
-
-    Horner runs once, on the exact endpoints.  Interval Horner is
-    inclusion-isotone, so no rounded superset of [lo, hi] certifies a sign
-    that the exact interval does not.
-    """
-    if not p:
-        return 0
-    alo, ahi = _interval_hom(p, lo, hi, den)
-    return 1 if alo > 0 else -1 if ahi < 0 else 0
 
 
 def content(p: IntPoly) -> int:

@@ -12,6 +12,7 @@ not be irreducible, so a zero verdict rests on the gcd + Sturm certificate
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,8 +62,9 @@ class ResidueContext:
     # -- construction -----------------------------------------------------
 
     def reduce(self, coeffs) -> "ResidueElement":
-        """Reduce a rational-coefficient polynomial modulo the modulus."""
-        fracs = [Fraction(c) for c in coeffs]
+        """Reduce a polynomial with int or Fraction coefficients modulo the modulus."""
+        # operator.index raises TypeError on a float, which would enter as its binary value, or a str
+        fracs = [c if isinstance(c, Fraction) else Fraction(operator.index(c)) for c in coeffs]
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
         num = polys.normalize(int(f * den) for f in fracs)
         num = self._mod(num)
@@ -105,11 +107,8 @@ class ResidueElement:
     def _check(self, other) -> "ResidueElement":
         if isinstance(other, int):
             return ResidueElement(self.context, (other,) if other else (), 1)
-        if isinstance(other, Fraction):
-            return self.context.reduce([other])
         if not isinstance(other, ResidueElement):
-            # a float would enter the ring as its binary value, not as the decimal it prints
-            raise TypeError(f"residue operands are int, Fraction or ResidueElement, not {type(other).__name__}")
+            return self.context.reduce([other])  # which refuses all but int and Fraction
         if other.context is not self.context:
             raise ModulusMismatch("operands belong to different residue contexts")
         return other

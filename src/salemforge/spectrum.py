@@ -228,7 +228,6 @@ def classify_entry(key: SpectrumKey) -> SpectrumEntry:
             f"{census.outside} roots outside the unit circle for {key}"
         )
     value = dynamical_degree(key)
-    strip_bound = 2 * max(key.tuple, default=2)
-    label, _, _ = salem_pisot_label(poly, strip_bound, census.on)
+    label, _, _ = salem_pisot_label(poly, census.on)
     return SpectrumEntry(key, value, census, label)
 

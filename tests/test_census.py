@@ -196,7 +196,7 @@ def test_strip_respects_degree_bound():
 
 
 def test_label_pisot():
-    label, stripped, _ = cen.salem_pisot_label((-1, -2, 0, -3, 1), 4)
+    label, stripped, _ = cen.salem_pisot_label((-1, -2, 0, -3, 1))
     assert label == "pisot_like"
 
 
@@ -204,7 +204,7 @@ def test_label_salem_shape():
     # Lehmer's polynomial: the classical degree-10 Salem minimal polynomial
     lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
     assert cen.is_self_reciprocal(lehmer)
-    label, stripped, removed = cen.salem_pisot_label(lehmer, 6)
+    label, stripped, removed = cen.salem_pisot_label(lehmer)
     assert label == "salem_like"
     c = unit_circle_census(lehmer)
     assert (c.inside, c.on, c.outside) == (1, 8, 1)
@@ -214,7 +214,7 @@ def test_label_undetermined():
     # (X^2-3X-1) times a non-cyclotomic, non-reciprocal-completing factor
     # with both roots on the circle: 2z^2 - 3z + 2
     p = polys.mul((-1, -3, 1), (2, -3, 2))
-    label, stripped, _ = cen.salem_pisot_label(p, 8)
+    label, stripped, _ = cen.salem_pisot_label(p)
     assert label == "undetermined"
     assert unit_circle_census(p) == C(1, 2, 1)
 
@@ -256,12 +256,14 @@ UNDETERMINED = polys.mul((-1, -3, 1), (2, -3, 2))
 )
 @pytest.mark.parametrize("bound", [1, 2, 4, 8])
 def test_label_from_known_on_count_matches_second_census(p, bound):
-    # classify_entry passes the on-count of p in place of a census of the stripped p
-    assert cen.salem_pisot_label(p, bound, unit_circle_census(p).on) == cen.salem_pisot_label(p, bound)
+    # classify_entry passes the on-count of p in place of a census of the stripped p;
+    # stripping `bound` degrees past the on-count finds no further factor
+    on = unit_circle_census(p).on
+    assert cen.salem_pisot_label(p, on) == cen.salem_pisot_label(p) == unbounded_label(p, on + bound)
 
 
 def unbounded_label(p, strip_degree_bound):
-    """salem_pisot_label as defined before the on-bound: strip to the full bound, census the rest."""
+    """salem_pisot_label as defined before the on-bound: strip to the given bound, census the rest."""
     stripped, removed = cen.strip_cyclotomic_factors(p, strip_degree_bound)
     if unit_circle_census(stripped).on == 0:
         return "pisot_like", stripped, removed
@@ -292,11 +294,13 @@ def test_on_bounded_strip_matches_unbounded_strip():
     for key in keys:
         p, bound = key.polynomial(), 2 * max(key.tuple, default=2)
         on = unit_circle_census(p).on
-        got = cen.salem_pisot_label(p, bound, on)
-        assert got == unbounded_label(p, bound) == cen.salem_pisot_label(p, bound), key
+        got = cen.salem_pisot_label(p, on)
+        assert got == unbounded_label(p, on) == cen.salem_pisot_label(p), key
+        # the former cap of 2 * max(tuple) strips the same factors on these keys
+        assert got == unbounded_label(p, bound), key
         seen.add((got[0], bool(got[2]), on < bound))
-    # both labels, with and without removed factors, and keys where on < bound
-    # (the bound that now applies) as well as on >= bound
+    # both labels, with and without removed factors, and keys whose on-count
+    # lies below the former cap as well as keys where the cap bound the strip
     assert {label for label, _, _ in seen} == {"pisot_like", "salem_like"}
     assert {removed for _, removed, _ in seen} == {True, False}
     assert {below for _, _, below in seen} == {True, False}

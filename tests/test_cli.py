@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -225,6 +226,24 @@ def test_cache_line_that_is_not_utf8_is_skipped(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "cache", "--cache", str(cache))
     assert code == 0 and len(json.loads(out)) == 2
     assert cache.read_bytes().count(b"\n") == 3  # the hit appended nothing
+
+
+def test_cache_line_nested_too_deep_is_skipped(capsys, tmp_path):
+    # json.loads raises RecursionError, not ValueError, on 200,000 nested brackets
+    cache = tmp_path / "c.jsonl"
+    assert run_cli(capsys, "classify", "--d", "4", "--tuple", "2", "--cache", str(cache))[0] == 0
+    with open(cache, "a") as fh:
+        fh.write("[" * 200_000 + "\n")
+    # the final line, so taken for a torn write: skipped without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "cache", "--cache", str(cache))
+    assert code == 0 and err == "" and len(json.loads(out)) == 1
+    # a middle line once the next record follows it: skipped with a warning
+    assert run_cli(capsys, "classify", "--d", "4", "--tuple", "3", "--cache", str(cache))[0] == 0
+    with pytest.warns(UserWarning, match=":2: unparseable record skipped"):
+        code, out, err = run_cli(capsys, "cache", "--cache", str(cache))
+    assert code == 0 and err == "" and len(json.loads(out)) == 2
 
 
 def test_cache_without_path_exits_2(capsys, monkeypatch):

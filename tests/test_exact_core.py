@@ -6,18 +6,19 @@ the classical Sturm chain of the gcd-based square-free part over Q,
 bisection by its variations at `_split_point` candidates, long division
 over Q, and the extended Euclidean algorithm over Q[X].
 The integer core must reproduce their values, bounds, intervals, quotients
-and inverses exactly; `interval_sign` must be sound, and complete wherever
-the exact bounds decide.
+and inverses exactly.  The power table of a root cell must enclose every
+power of every point of a cell of any sign.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from salemforge import polys
+from salemforge import algebraic, polys
 from salemforge.algebraic import (
     EQUAL,
     GREATER,
@@ -307,47 +308,6 @@ def test_eval_interval_bounds_match_oracle(p, a, b):
     assert polys.eval_interval(p, lo, hi) == oracle_eval_interval(p, lo, hi)
 
 
-@given(polys_small, st.one_of(rationals, small_rationals), st.one_of(rationals, small_rationals))
-@settings(max_examples=250, deadline=None)
-def test_interval_sign_sound_and_complete(p, a, b):
-    lo, hi = ordered(a, b)
-    s = polys.interval_sign(p, *polys.common_den(lo, hi))
-    blo, bhi = oracle_eval_interval(p, lo, hi)
-    # complete: whatever the exact bounds decide, interval_sign decides alike
-    assert s == (1 if blo > 0 else -1 if bhi < 0 else 0)
-    # sound: sampled points of [lo, hi] carry the certified sign
-    if s:
-        for t in range(9):
-            v = oracle_eval(p, lo + (hi - lo) * Fraction(t, 8))
-            assert (v > 0) - (v < 0) == s
-
-
-@given(
-    polys_small,
-    st.integers(-60, 60),
-    st.integers(1, 60),
-    st.integers(66, 400),
-    st.integers(0, 400),
-)
-@settings(max_examples=120, deadline=None)
-def test_interval_sign_undecided_across_a_root(q, n, d, k1, k2):
-    # p vanishes at r inside [lo, hi], within 2^-66 of lo: no rung may
-    # decide, and rounding lo inward to 2^-64 would step past r
-    r = Fraction(n, d)
-    p = polys.mul((-n, d), q or (1,))
-    lo, hi = r - Fraction(1, 3 * 2**k1), r + Fraction(1, 5 * 2**k2)
-    assert polys.interval_sign(p, *polys.common_den(lo, hi)) == 0
-
-
-def test_interval_sign_decided_by_coarse_rung_on_deep_interval():
-    # X - 3 on an interval of width 2^-400 around 10: 400-bit endpoints decide
-    lo = Fraction(10 * 2**400 - 1, 2**400)
-    hi = Fraction(10 * 2**400 + 1, 2**400)
-    assert polys.interval_sign((-3, 1), *polys.common_den(lo, hi)) == 1
-    assert polys.interval_sign((3, -1), *polys.common_den(lo, hi)) == -1
-    assert polys.interval_sign((-10, 1), *polys.common_den(lo, hi)) == 0
-
-
 nonneg_rationals = st.one_of(
     st.just(Fraction(0)),
     st.builds(lambda n, d: Fraction(n, d), st.integers(0, 2**310), denominators),
@@ -365,7 +325,7 @@ def interval_hom_bounds(p, lo, hi):
 @given(polys_small.filter(bool), nonneg_rationals, nonneg_rationals)
 @settings(max_examples=250, deadline=None)
 def test_interval_hom_nonnegative_matches_oracle(p, a, b):
-    # lo >= 0 takes the two-product loop; its bounds equal the four-product ones
+    # on lo >= 0 the integer bounds equal the Fraction oracle's
     lo, hi = ordered(a, b)
     assert interval_hom_bounds(p, lo, hi) == oracle_eval_interval(p, lo, hi)
 
@@ -401,31 +361,75 @@ def test_interval_hom_nonnegative_sign_cases(p, lo, hi, acc):
     assert interval_hom_bounds(p, lo, hi) == oracle_eval_interval(p, lo, hi)
 
 
-def test_interval_sign_exact_rung_decides_what_64_bits_cannot():
-    # 3X - 1 on [1/3 + 2^-100, 1/3 + 2^-99]: rounded outward to 2^-64 the
-    # interval contains the root 1/3, so only the exact endpoints decide
-    p = (-1, 3)
-    lo, hi = Fraction(1, 3) + Fraction(1, 2**100), Fraction(1, 3) + Fraction(1, 2**99)
-    alo, ahi = polys._interval_hom(p, *outward(lo, hi, 64))
-    assert alo <= 0 <= ahi
-    assert polys.interval_sign(p, *polys.common_den(lo, hi)) == 1
-    assert polys.interval_sign(polys.neg(p), *polys.common_den(lo, hi)) == -1
+# -- the power table of a root cell ---------------------------------------------
+
+
+@st.composite
+def cells(draw):
+    """(lo, hi, den) with lo >= 0, with hi <= 0 or with lo < 0 < hi, wide or narrow."""
+    den = draw(denominators)
+    kind = draw(st.sampled_from((1, -1, 0)))
+    w = draw(st.one_of(st.integers(0, 3), st.integers(0, 4 * den)))
+    if kind == 0:
+        return -1 - draw(st.integers(0, w)), 1 + draw(st.integers(0, w)), den
+    a = draw(st.integers(0, 4 * den))
+    return (a, a + w, den) if kind == 1 else (-a - w, -a, den)
+
+
+def table_sign(g, cell):
+    """The sign of g on the cell decided by its power table, 0 if undecided."""
+    _, mid, rad = algebraic._power_table(cell, len(g))
+    c = sum(map(operator.mul, g, mid))
+    return (1 if c > 0 else -1) if abs(c) > sum(abs(a) * r for a, r in zip(g, rad)) else 0
+
+
+@given(cells(), polys_small)
+@settings(max_examples=300, deadline=None)
+def test_power_table_encloses_powers_on_cells_of_any_sign(cell, g):
+    lo, hi, den = cell
+    xs = [Fraction(lo * (8 - t) + hi * t, 8 * den) for t in range(9)]
+    scale = 2 ** (den.bit_length() + 33)  # 2**(B+1)
+    _, mid, rad = algebraic._power_table(cell, 9)
+    assert (mid[0], rad[0]) == (scale, 0)  # x**0 is exactly 1, also on a cell holding 0
+    for k, (m, r) in enumerate(zip(mid, rad)):
+        assert all(m - r <= x**k * scale <= m + r for x in xs), k
+    # sound: sampled points of the cell carry a sign the table decides
+    s = table_sign(g, cell)
+    if s:
+        assert all(oracle_eval(g, x) * s > 0 for x in xs)
 
 
 @given(
-    polys_small.filter(bool),
-    st.one_of(rationals, small_rationals),
-    st.one_of(rationals, small_rationals),
-    st.integers(1, 128),
+    polys_small,
+    st.integers(-60, 60),
+    st.integers(1, 60),
+    st.integers(0, 400),
+    st.integers(0, 400),
 )
-@settings(max_examples=250, deadline=None)
-def test_interval_sign_decides_whatever_a_rounded_superset_decides(p, a, b, k):
-    # interval Horner is inclusion-isotone: a sign certified on [lo, hi]
-    # rounded outward to 2^-k is also certified on the exact [lo, hi]
-    lo, hi = ordered(a, b)
-    alo, ahi = polys._interval_hom(p, *outward(lo, hi, k))
-    if alo > 0 or ahi < 0:
-        assert polys.interval_sign(p, *polys.common_den(lo, hi)) == (1 if alo > 0 else -1)
+@settings(max_examples=120, deadline=None)
+def test_power_table_undecided_across_a_root(q, n, d, k1, k2):
+    # p vanishes at r inside [lo, hi], which may hold 0 or lie on either side
+    r = Fraction(n, d)
+    p = polys.mul((-n, d), q or (1,))
+    lo, hi = r - Fraction(1, 3 * 2**k1), r + Fraction(1, 5 * 2**k2)
+    assert table_sign(p, polys.common_den(lo, hi)) == 0
+
+
+def test_power_table_decides_on_deep_cells():
+    # X - 3 and X + 3 on cells of width 2^-399 around 10 and -10
+    for x in (10, -10):
+        cell = (x * 2**400 - 1, x * 2**400 + 1, 2**400)
+        assert table_sign((-3, 1), cell) == table_sign((3, 1), cell) == (1 if x > 0 else -1)
+        assert table_sign((3, -1), cell) == -table_sign((-3, 1), cell)
+        assert table_sign((-x, 1), cell) == 0
+    # even powers on [-2^-401, 2^-401], which holds 0: X^2 - 1 < 0 < 1 - 2X^2
+    # decide, and X^2, zero at 0, does not
+    cell = (-1, 1, 2**401)
+    assert (table_sign((-1, 0, 1), cell), table_sign((1, 0, -2), cell), table_sign((0, 0, 1), cell)) == (-1, 1, 0)
+    # 3X - 1 on [1/3 + 2^-100, 1/3 + 2^-99]: the table's precision follows
+    # the cell's denominator, so it decides where a 2^-64 grid could not
+    p, cell = (-1, 3), polys.common_den(Fraction(1, 3) + Fraction(1, 2**100), Fraction(1, 3) + Fraction(1, 2**99))
+    assert table_sign(p, cell) == 1 and table_sign(polys.neg(p), cell) == -1
 
 
 # -- refinement ------------------------------------------------------------------

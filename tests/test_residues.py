@@ -4,13 +4,13 @@ Long-division oracles are computed inline with Fractions; the context
 polynomial X^2-3X-1 has lambda = (3+sqrt(13))/2 as its distinguished root.
 """
 
+import itertools
 import math
 import operator
 import random
 import sys
 import threading
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -222,6 +222,14 @@ def test_float_operand_is_refused(ctx):
     assert x - 2 == ctx.reduce([-2, 1]) and 2 - x == ctx.reduce([2, -1])
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/2", 1.0, None, complex(1, 0)])
+def test_reduce_refuses_all_but_int_and_fraction(ctx, bad):
+    # reduce([0.1]) once gave .../36028797018963968 and reduce(["1/2"]) parsed the string
+    with pytest.raises(TypeError):
+        ctx.reduce([1, bad])
+    assert ctx.reduce([2, Fraction(1, 2)]) == 2 + ctx.x_power(1) * Fraction(1, 2)
+
+
 fracs = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=4)
 
 
@@ -385,15 +393,19 @@ def test_narrow_root_keeps_the_narrower_interval(monkeypatch):
         ctx.root = wide
 
 
-def sign_within(e, seconds=60):
-    # residue_sign in a daemon thread: a sign loop that stops narrowing
-    # fails here instead of hanging the suite
+def within(fn, seconds=60):
+    # fn() in a daemon thread: a sign loop that stops narrowing fails here
+    # instead of hanging the suite
     out = []
-    worker = threading.Thread(target=lambda: out.append(residue_sign(e)), daemon=True)
+    worker = threading.Thread(target=lambda: out.append(fn()), daemon=True)
     worker.start()
     worker.join(seconds)
-    assert out, f"residue_sign gave no verdict within {seconds} s"
+    assert out, f"no verdict within {seconds} s"
     return out[0]
+
+
+def sign_within(e, seconds=60):
+    return within(lambda: residue_sign(e), seconds)
 
 
 SQRT2 = (-2, 0, 1)
@@ -428,18 +440,41 @@ def test_sign_narrows_a_context_whose_memo_entry_was_evicted(monkeypatch):
 # -- the power table of a memo slot -----------------------------------------
 
 
-def table_off(cell, n):
-    # mid 0 and radius 1: |c| > r never holds, so every sign takes the loop
-    return cell, (0,) * n, (1,) * n
+def loop_sign(f, cell, g):
+    """Reference: the sign of g at the root of f in the cell as interval
+    Horner decided it, 20 halvings per undecided round and `vanishes_at`
+    at round 3."""
+    for undecided in itertools.count(1):
+        lo, hi = polys.eval_interval(g, Fraction(cell[0], cell[2]), Fraction(cell[1], cell[2]))
+        s = 1 if lo > 0 else -1 if hi < 0 else 0
+        if s or (undecided == 3 and algebraic.vanishes_at(g, algebraic._real(f, cell))):
+            return s
+        for _ in range(20):
+            cell = algebraic._halve(f, cell)
 
 
-def positive_cell(f):
-    """The largest root's isolating cell, halved until lo >= 0; None if
-    that root is not positive."""
-    cell = algebraic._cell(algebraic.isolate_largest_real_root(f))
-    while cell[0] < 0 < cell[1]:
-        cell = algebraic._halve(f, cell)
-    return cell if cell[0] >= 0 else None
+def first_table_undecided(monkeypatch):
+    """Make the first table that each sign builds undecided, so that such
+    a sign narrows its cell at least once; returns the list of the cells
+    of the tables made undecided."""
+    power_table, sign = algebraic._power_table, algebraic.MemoSlot.sign
+    first, forced = [], []
+
+    def table(cell, n):
+        cell, mid, rad = power_table(cell, n)
+        if first and first.pop():
+            # a radius of |mid| + rad makes r >= |c|
+            rad = tuple(abs(m) + r for m, r in zip(mid, rad))
+            forced.append(cell)
+        return cell, mid, rad
+
+    def first_undecided(slot, g):
+        first[:] = [True]
+        return sign(slot, g)
+
+    monkeypatch.setattr(algebraic, "_power_table", table)
+    monkeypatch.setattr(algebraic.MemoSlot, "sign", first_undecided)
+    return forced
 
 
 @st.composite
@@ -447,8 +482,10 @@ def defining_and_signs(draw):
     coeffs = draw(st.lists(st.integers(-9, 9), min_size=3, max_size=8).filter(lambda c: c[-1] and c[0]))
     f = polys.primitive(polys.square_free_part(tuple(coeffs)))
     assume(polys.count_real_roots(f) > 0)
-    cell = positive_cell(f)
-    assume(cell is not None)
+    # the largest root's cell, a few halvings deep: lo >= 0, hi <= 0 or lo < 0 < hi
+    cell = algebraic._cell(algebraic.isolate_largest_real_root(f))
+    for _ in range(draw(st.integers(0, 4))):
+        cell = algebraic._halve(f, cell)
     short = st.lists(st.integers(-40, 40), min_size=1, max_size=len(f) - 1)
     gs = draw(st.lists(short.map(polys.normalize).filter(bool), min_size=1, max_size=6))
     # 2 den X - (lo + hi) for the midpoint of a deeper cell, so that some
@@ -465,13 +502,24 @@ def defining_and_signs(draw):
 @settings(max_examples=60, deadline=None)
 def test_table_signs_match_the_loop(case):
     f, cell, gs = case
-    with_table = [algebraic.MemoSlot(f, cell).sign(g) for g in gs]
-    with mock.patch.object(algebraic, "_power_table", table_off):
-        without = [algebraic.MemoSlot(f, cell).sign(g) for g in gs]
-    assert with_table == without
+    reference = [loop_sign(f, cell, g) for g in gs]
+    assert [algebraic.MemoSlot(f, cell).sign(g) for g in gs] == reference
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        forced = first_table_undecided(monkeypatch)
+        assert [algebraic.MemoSlot(f, cell).sign(g) for g in gs] == reference
+        assert forced == [cell] * len(gs)
     # and one slot answering every g in turn, its table growing with g
     slot = algebraic.MemoSlot(f, cell)
-    assert [slot.sign(g) for g in gs] == with_table
+    assert [slot.sign(g) for g in gs] == reference
+
+
+def test_root_at_zero_in_a_cell_holding_zero():
+    # 0 is the only real root of X^3 + X^2 + X; on (-2, 2) the table holds
+    # x**0 = 1 exactly, so the constant signs decide at once
+    slot = algebraic.MemoSlot((0, 1, 1, 1), (-2, 2, 1, -1))
+    gs = [(15, -4), (0, 1), (1,), (-1, 0, 2), (0, 0, 1), (0, -1)]
+    assert [within(lambda: slot.sign(g)) for g in gs] == [1, 0, 1, -1, 0, 0]
+    assert [loop_sign((0, 1, 1, 1), (-2, 2, 1, -1), g) for g in gs] == [1, 0, 1, -1, 0, 0]
 
 
 def test_zero_verdicts_go_through_the_certificate(monkeypatch):
@@ -498,19 +546,20 @@ def test_zero_verdicts_go_through_the_certificate(monkeypatch):
 
 def test_negative_root_takes_the_loop(monkeypatch):
     # the largest root of X^2 + 3X + 1 is (-3 + sqrt(5))/2 = -0.3819...,
-    # isolated in the cell (-2, 0, 1): no table is built
-    def no_table(cell, n):
-        raise AssertionError("a table for a cell with lo < 0")
-
-    monkeypatch.setattr(algebraic, "_power_table", no_table)
+    # isolated in the cell (-2, 0, 1): it takes the one loop of every root,
+    # a table of its cell first, and gets the reference loop's verdicts
     monkeypatch.setattr(algebraic, "_MEMO", {})
     ctx = ResidueContext.for_largest_root((1, 3, 1))
-    assert ctx._slot.cell[:3] == (-2, 0, 1)
-    assert residue_sign(ctx.x_power(1)) == -1
-    assert residue_sign(ctx.reduce([Fraction(38, 100), 1])) == -1
-    assert residue_sign(ctx.reduce([Fraction(382, 1000), 1])) == 1
+    f, cell = ctx._slot.defining, ctx._slot.cell
+    assert cell[:3] == (-2, 0, 1)
+    es = [ctx.x_power(1), ctx.reduce([Fraction(38, 100), 1]), ctx.reduce([Fraction(382, 1000), 1])]
+    assert [residue_sign(e) for e in es] == [-1, -1, 1]
+    assert [loop_sign(f, cell, e.num) for e in es] == [-1, -1, 1]
     assert residue_is_zero(ctx.x_power(2) + 3 * ctx.x_power(1) + 1)
-    assert ctx._slot._powers is None
+    # a multiple of the defining polynomial, which the ring would reduce to 0
+    g = polys.mul((1, 3, 1), (-5, 1))
+    assert ctx._slot.sign(g) == loop_sign(f, cell, g) == 0
+    assert ctx._slot._powers is not None and ctx._slot._powers[0][1] <= 0
 
 
 def realize_checks():
@@ -523,24 +572,22 @@ def realize_checks():
 
 
 def test_undecided_table_gives_the_same_verdicts(monkeypatch):
-    # a radius of |mid| + rad makes r >= |c|, so every sign takes the loop
+    # each sign narrows its cell at least once, and every verdict matches
+    # the reference loop on the root's starting cell
     from salemforge import realization
 
     key, checks = realize_checks()
-    power_table = algebraic._power_table
-
-    def undecided(cell, n):
-        cell, mid, rad = power_table(cell, n)
-        return cell, mid, tuple(abs(m) + r for m, r in zip(mid, rad))
-
-    calls = []
-    interval_sign = polys.interval_sign
-    monkeypatch.setattr(algebraic, "_power_table", undecided)
-    monkeypatch.setattr(polys, "interval_sign", lambda *a: calls.append(1) or interval_sign(*a))
+    monkeypatch.setattr(algebraic, "_MEMO", {})
+    ctx = realization._context_for(key)
+    f, cell = ctx._slot.defining, ctx._slot.cell
+    reference = [loop_sign(f, cell, r.num) if r.num else 0 for r in checks]
+    forced = first_table_undecided(monkeypatch)
     monkeypatch.setattr(algebraic, "_MEMO", {})
     report = realization.verify_realization(key)
+    assert cell in forced
     assert [r for _, results in report.groups for r in results] == checks
-    assert len(calls) >= sum(r.expected != "zero" for r in checks)
+    ctx = realization._context_for(key)
+    assert [residue_sign(ctx.reduce(r.expression)) for r in checks] == reference
 
 
 def test_table_signs_shared_across_threads(monkeypatch):

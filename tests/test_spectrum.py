@@ -236,7 +236,7 @@ def one_census_removed(key):
     """classify_entry against a second census; returns the stripped factors."""
     p = key.polynomial()
     entry = classify_entry(key)
-    label, _, removed = salem_pisot_label(p, 2 * max(key.tuple, default=2))
+    label, _, removed = salem_pisot_label(p)
     assert entry.census == unit_circle_census(p), key
     assert entry.label == label, key
     return removed
