@@ -100,6 +100,8 @@ def record_to_entry(record: dict):
             raise TypeError(f"census counts must be integers, got {record['census']}")
         label = record["label"]
         fits = label in LABELS and census.total == polys.degree(key_poly) and census.outside == 1
+        # no count is negative, and with on == 0 salem_pisot_label strips nothing: pisot_like
+        fits = fits and min(census.inside, census.on) >= 0 and (census.on > 0 or label == "pisot_like")
     except (KeyError, ValueError, TypeError) as exc:
         raise StoreCorrupt(f"malformed record: {exc}") from exc
     if not fits:

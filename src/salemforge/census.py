@@ -6,14 +6,12 @@ arithmetic:
 
 * roots at the origin are stripped first (counted as inside),
 * a square-free decomposition reduces to the square-free case,
-* the self-inversive part gcd(f, reverse(f)) carries every root on the
-  circle plus the reciprocal off-circle pairs; the cofactor has no circle
-  roots, since each circle root of f is also a root of reverse(f).
-
-Both halves go through one Chebyshev series in c = cos(theta), z = e**(i
-theta): the self-inversive part becomes a half-degree polynomial whose real
-roots in (-1, 1) are its circle pairs, and the cofactor's inside count is a
-Cauchy index on (-1, 1).
+* each square-free factor f, once z - 1 and z + 1 are divided out, goes
+  through one Chebyshev pair (u, w) in c = cos(theta), z = e**(i theta),
+  and one signed remainder sequence of (u, w): its variations give the
+  winding number, and its last member, gcd(u, w), is the image of the
+  self-inversive part gcd(f, reverse f), whose roots in (-1, 1) are the
+  circle pairs.
 """
 
 from __future__ import annotations
@@ -70,54 +68,36 @@ def unit_circle_census(p) -> UnitCircleCensus:
 
 
 def _census_square_free(f) -> UnitCircleCensus:
-    s = polys.gcd(f, polys.reverse(f))
-    h = polys.divexact(f, s)
-    out = _census_self_inversive(s) if polys.degree(s) >= 1 else _EMPTY
-    if polys.degree(h) >= 1:
-        inside = _winding_inside(h)
-        out = out + UnitCircleCensus(inside, 0, polys.degree(h) - inside)
-    return out
+    """Census of a square-free f with f(0) != 0, from one remainder sequence.
 
+    Each of z - 1, z + 1 dividing f is one root on the circle.  For the rest,
+    c = (z + 1/z)/2 gives f(z) = u(c) + ((z - 1/z)/2) w(c) with
+    u = sum_j a_j T_j(c) and w = sum_{j>=1} a_j U_{j-1}(c).  Let g be the last
+    member of the signed remainder sequence of (u, w) and s = gcd(f, reverse f):
 
-def _census_self_inversive(s) -> UnitCircleCensus:
-    """Census of a square-free polynomial whose root set is inversion-closed."""
-    on = 0
-    for value, root_poly in ((1, (-1, 1)), (-1, (1, 1))):
-        if polys.eval_at(s, value) == 0:
-            s = polys.divexact(s, root_poly)
-            on += 1
-    n = polys.degree(s)
-    if n == 0:
-        return UnitCircleCensus(0, on, 0)
-    if n % 2 or polys.reverse(s) != s:
-        raise CensusContradiction("self-inversive part is not an even palindrome")
-    # s(z) = z**k * g(c) with g = s_k + 2 * sum_j s_{k+j} T_j(c)
-    k = n // 2
-    s = polys.primitive(s)
-    g = _chebyshev_series((s[k],) + tuple(2 * c for c in s[k + 1 :]), _chebyshev_t)
-    r_in = polys.sturm_count(g, -1, 1)
-    r_all = polys.count_real_roots(g)
-    r_out = r_all - r_in
-    cplx = k - r_all
-    # real c in (-1,1): conjugate pair on the circle; real c outside: real
-    # reciprocal pair (one in, one out); complex c: quadruple (two in, two out)
-    return UnitCircleCensus(r_out + cplx, on + 2 * r_in, r_out + cplx)
-
-
-def _winding_inside(h) -> int:
-    """Inside count as the winding number of h around the unit circle.
-
-    With z = e**(i theta) and c = cos(theta), h(z) = u(c) + i sin(theta) w(c)
-    where u, w expand over Chebyshev polynomials.  The winding number equals
-    the Cauchy index of w/u on (-1, 1), a generalized Sturm count.  Requires
-    h without roots on the circle (h(1) != 0 != h(-1) in particular).
+    * a common root of u and w is the image of a root pair z, 1/z of f, so g
+      is the image of s, and deg g = k = deg s / 2;
+    * r roots of g lie in (-1, 1), each a circle pair; every other root of g
+      stands for one root inside and one outside;
+    * I = Var(-1) - Var(1) is the Cauchy index of w/u on (-1, 1) (Basu, Pollack
+      & Roy, Algorithms in Real Algebraic Geometry, ch. 2), the winding number
+      of z**k (f/s), so I = k + inside(f/s) and inside(f) = (k - r) + inside(f/s) = I - r;
+    * u(+-1) = f(+-1) != 0, so neither u nor g has a root at +-1.
     """
-    u = _chebyshev_series(h, _chebyshev_t)
-    w = _chebyshev_series(h[1:], _chebyshev_u)
-    if polys.eval_at(u, 1) == 0 or polys.eval_at(u, -1) == 0:
-        raise CensusContradiction("winding count met a root on the circle")
+    n, on = polys.degree(f), 0
+    for value, root_poly in ((1, (-1, 1)), (-1, (1, 1))):
+        if polys.eval_at(f, value) == 0:
+            f = polys.divexact(f, root_poly)
+            on += 1
+    if polys.degree(f) == 0:
+        return UnitCircleCensus(0, on, 0)
+    u = _chebyshev_series(f, _chebyshev_t)
+    w = _chebyshev_series(f[1:], _chebyshev_u)
     chain = polys.signed_remainder_chain(u, w)
-    return polys.chain_variations_at(chain, -1) - polys.chain_variations_at(chain, 1)
+    g = chain[-1]
+    r = polys.sturm_count(g, -1, 1) if polys.degree(g) >= 1 else 0
+    inside = polys.chain_variations_at(chain, -1) - polys.chain_variations_at(chain, 1) - r
+    return UnitCircleCensus(inside, on + 2 * r, n - inside - on - 2 * r)
 
 
 def _chebyshev_series(coeffs, basis):

@@ -413,14 +413,6 @@ def sturm_count(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     return chain_variations_at(chain, lo) - chain_variations_at(chain, hi)
 
 
-def count_real_roots(p: IntPoly) -> int:
-    """Number of distinct real roots of p."""
-    if degree(p) <= 0:
-        return 0
-    b = cauchy_bound(p)
-    return sturm_count(p, -b, b)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial."""
@@ -433,7 +425,7 @@ def cyclotomic(n: int) -> IntPoly:
     return num
 
 
-def poly_to_string(p: IntPoly, var: str = "X") -> str:
+def poly_to_string(p: IntPoly) -> str:
     """Human-readable rendering, highest degree first."""
     if not p:
         return "0"
@@ -446,7 +438,7 @@ def poly_to_string(p: IntPoly, var: str = "X") -> str:
             term = str(abs(c))
         else:
             coeff = "" if abs(c) == 1 else str(abs(c)) + "*"
-            term = f"{coeff}{var}" + (f"^{i}" if i > 1 else "")
+            term = f"{coeff}X" + (f"^{i}" if i > 1 else "")
         parts.append(("- " if c < 0 else "+ ") + term)
     s = " ".join(parts)
     return s[2:] if s.startswith("+ ") else "-" + s[2:]

@@ -94,9 +94,9 @@ def _is_transpose_eigenvector(key: SpectrumKey, ctx: ResidueContext, v) -> bool:
     return True
 
 
-def check_transpose_eigenvector(key: SpectrumKey, context: ResidueContext | None = None) -> bool:
+def check_transpose_eigenvector(key: SpectrumKey) -> bool:
     """J^T v = lambda v, coordinate by coordinate, exactly."""
-    ctx = context or _context_for(key)
+    ctx = _context_for(key)
     return _is_transpose_eigenvector(key, ctx, transpose_eigenvector(key, ctx))
 
 

@@ -244,6 +244,10 @@ def test_unusable_interval_is_skipped_with_warning(tmp_path, lo, hi):
         ({"tuple": "33"}, "malformed"),
         ({"tuple": [3, 3.9]}, "malformed"),
         ({"census": {"inside": 4.0, "on": 3, "outside": 1}}, "malformed"),
+        # counts that sum to the degree, but one is negative
+        ({"census": {"inside": -1, "on": 8, "outside": 1}}, "does not fit"),
+        # with no circle roots nothing is stripped, so the label is pisot_like
+        ({"census": {"inside": 7, "on": 0, "outside": 1}, "label": "salem_like"}, "does not fit"),
     ],
 )
 def test_record_not_tied_to_its_key_is_skipped(tmp_path, change, reason):

@@ -136,7 +136,7 @@ def test_winding_matches_constructed_roots(roots):
         return
     p = polys.mul_many([(-a, b) for a, b in roots])
     expect = sum(1 for a, b in roots if abs(a) < b)
-    assert cen._winding_inside(p) == expect
+    assert unit_circle_census(p) == C(expect, 0, polys.degree(p) - expect)
 
 
 def inversion_closed_factors():
@@ -172,14 +172,62 @@ def test_self_inversive_census_matches_constructed_roots(factors):
     expect = C(0, 0, 0)
     for _, loc in factors:
         expect = expect + loc
-    assert cen._census_self_inversive(s) == expect
+    assert cen._census_square_free(s) == expect
 
 
-@pytest.mark.parametrize("s", [(1, 2, 3), (1, -2, 1), (2, 1, 1, 2, 5)])
-def test_self_inversive_census_rejects_non_palindrome(s):
-    # (1, -2, 1) = (z - 1)^2 keeps odd degree once one z - 1 is stripped
-    with pytest.raises(CensusContradiction, match="even palindrome"):
-        cen._census_self_inversive(s)
+# --- the two-path census the remainder sequence replaced, as a reference ---
+
+
+def two_path_census(f) -> UnitCircleCensus:
+    """Census of a square-free f with f(0) != 0: the self-inversive part
+    gcd(f, reverse f) by Sturm counts of its half-degree image, the cofactor
+    by a winding count."""
+    s = polys.gcd(f, polys.reverse(f))
+    h = polys.divexact(f, s)
+    out = _self_inversive_census(s) if polys.degree(s) >= 1 else C(0, 0, 0)
+    if polys.degree(h) >= 1:
+        u = cen._chebyshev_series(h, cen._chebyshev_t)
+        w = cen._chebyshev_series(h[1:], cen._chebyshev_u)
+        chain = polys.signed_remainder_chain(u, w)
+        inside = polys.chain_variations_at(chain, -1) - polys.chain_variations_at(chain, 1)
+        out = out + C(inside, 0, polys.degree(h) - inside)
+    return out
+
+
+def _self_inversive_census(s) -> UnitCircleCensus:
+    on = 0
+    for value, root_poly in ((1, (-1, 1)), (-1, (1, 1))):
+        if polys.eval_at(s, value) == 0:
+            s = polys.divexact(s, root_poly)
+            on += 1
+    n = polys.degree(s)
+    if n == 0:
+        return C(0, on, 0)
+    if n % 2 or polys.reverse(s) != s:
+        raise CensusContradiction("self-inversive part is not an even palindrome")
+    # s(z) = z**k * g(c) with g = s_k + 2 * sum_j s_{k+j} T_j(c)
+    k = n // 2
+    s = polys.primitive(s)
+    g = cen._chebyshev_series((s[k],) + tuple(2 * c for c in s[k + 1 :]), cen._chebyshev_t)
+    b = polys.cauchy_bound(g)
+    r_in, r_all = polys.sturm_count(g, -1, 1), polys.sturm_count(g, -b, b)
+    r_out = r_all - r_in
+    cplx = k - r_all
+    # real c in (-1,1): conjugate pair on the circle; real c outside: real
+    # reciprocal pair (one in, one out); complex c: quadruple (two in, two out)
+    return C(r_out + cplx, on + 2 * r_in, r_out + cplx)
+
+
+@given(
+    st.lists(known_factors(), max_size=3),
+    st.lists(inversion_closed_factors(), max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_sequence_census_matches_two_path_census(fs, gs):
+    f = polys.mul_many([p for p, _ in fs + gs])
+    assume(polys.degree(f) >= 1 and f[0] != 0)
+    assume(polys.degree(polys.gcd(f, polys.derivative(f))) == 0)
+    assert cen._census_square_free(f) == two_path_census(f)
 
 
 def test_strip_cyclotomic_factors():
@@ -233,10 +281,12 @@ def test_census_lost_roots_raises(monkeypatch):
         unit_circle_census((-1, -3, 1))
 
 
-@pytest.mark.parametrize("h", [(-1, 1), (1, 1), polys.mul((-1, 1), (1, 0, 3))])
-def test_winding_with_root_on_circle_raises(h):
-    with pytest.raises(CensusContradiction, match="root on the circle"):
-        cen._winding_inside(h)
+@pytest.mark.parametrize(
+    "h, expect", [((-1, 1), C(0, 1, 0)), ((1, 1), C(0, 1, 0)), (polys.mul((-1, 1), (1, 0, 3)), C(2, 1, 0))]
+)
+def test_census_of_factor_with_root_at_one_or_minus_one(h, expect):
+    # z - 1 and z + 1 are divided out before the Chebyshev pair is built
+    assert cen._census_square_free(h) == unit_circle_census(h) == expect
 
 
 LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)

@@ -194,7 +194,10 @@ small_rationals = st.builds(lambda n, d: Fraction(n, d), st.integers(-200, 200),
 
 
 def with_real_root(p):
-    return polys.count_real_roots(p) >= 1
+    if polys.degree(p) < 1:
+        return False
+    b = polys.cauchy_bound(p)
+    return polys.sturm_count(p, -b, b) >= 1
 
 
 # -- point evaluation ---------------------------------------------------------

@@ -212,12 +212,6 @@ def test_sturm_matches_grid_oracle(p):
     assert counts[-1] == polys.sturm_count(sf, lo, hi)
 
 
-def test_count_real_roots():
-    assert polys.count_real_roots((-1, -3, 1)) == 2
-    assert polys.count_real_roots((1, 0, 1)) == 0
-    assert polys.count_real_roots((-1, -2, 0, -3, 1)) == 2
-
-
 def test_cyclotomic_small():
     assert polys.cyclotomic(1) == (-1, 1)
     assert polys.cyclotomic(2) == (1, 1)

@@ -481,7 +481,8 @@ def first_table_undecided(monkeypatch):
 def defining_and_signs(draw):
     coeffs = draw(st.lists(st.integers(-9, 9), min_size=3, max_size=8).filter(lambda c: c[-1] and c[0]))
     f = polys.primitive(polys.square_free_part(tuple(coeffs)))
-    assume(polys.count_real_roots(f) > 0)
+    b = polys.cauchy_bound(f)
+    assume(polys.sturm_count(f, -b, b) > 0)
     # the largest root's cell, a few halvings deep: lo >= 0, hi <= 0 or lo < 0 < hi
     cell = algebraic._cell(algebraic.isolate_largest_real_root(f))
     for _ in range(draw(st.integers(0, 4))):
