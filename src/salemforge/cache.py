@@ -89,8 +89,14 @@ def record_key(record: dict):
 
 
 def record_to_entry(record: dict):
+    """The record's SpectrumEntry, or StoreCorrupt.  Census counts are trusted once they
+    fit the key: its degree, outside == 1, and on - e even and >= 0, e the multiplicity
+    of 1 and -1 as roots of its polynomial (re-deriving them would cost a census per hit)."""
     key = record_key(record)
-    key_poly = key.polynomial()
+    key_poly = q = key.polynomial()
+    for value, root_poly in ((1, (-1, 1)), (-1, (1, 1))):  # q: key_poly without its roots at 1 and -1
+        while polys.eval_at(q, value) == 0:
+            q = polys.divexact(q, root_poly)
     try:
         poly = strings_to_poly(record["poly"])
         lo = str_to_frac(record["interval"]["lo"])
@@ -100,9 +106,11 @@ def record_to_entry(record: dict):
             raise TypeError(f"census counts must be integers, got {record['census']}")
         label = record["label"]
         fits = label in LABELS and census.total == polys.degree(key_poly) and census.outside == 1
-        # no count is negative, and with on == 0 salem_pisot_label strips nothing: pisot_like
-        fits = fits and min(census.inside, census.on) >= 0 and (census.on > 0 or label == "pisot_like")
-    except (KeyError, ValueError, TypeError) as exc:
+        off_axis = census.on - polys.degree(key_poly) + polys.degree(q)  # conjugate pairs, so even
+        fits = fits and min(census.inside, off_axis) >= 0 and off_axis % 2 == 0
+        # with on == 0 salem_pisot_label strips nothing: pisot_like
+        fits = fits and (census.on > 0 or label == "pisot_like")
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:  # ZeroDivisionError: "p/0"
         raise StoreCorrupt(f"malformed record: {exc}") from exc
     if not fits:
         raise StoreCorrupt("stored label or census does not fit the key's polynomial")

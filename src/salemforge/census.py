@@ -72,7 +72,8 @@ def _census_square_free(f) -> UnitCircleCensus:
 
     Each of z - 1, z + 1 dividing f is one root on the circle.  For the rest,
     c = (z + 1/z)/2 gives f(z) = u(c) + ((z - 1/z)/2) w(c) with
-    u = sum_j a_j T_j(c) and w = sum_{j>=1} a_j U_{j-1}(c).  Let g be the last
+    u = sum_j a_j T_j(c) and w = sum_{j>=1} a_j U_{j-1}(c), both from one
+    Clenshaw pass (`_chebyshev_pair`).  Let g be the last
     member of the signed remainder sequence of (u, w) and s = gcd(f, reverse f):
 
     * a common root of u and w is the image of a root pair z, 1/z of f, so g
@@ -91,8 +92,7 @@ def _census_square_free(f) -> UnitCircleCensus:
             on += 1
     if polys.degree(f) == 0:
         return UnitCircleCensus(0, on, 0)
-    u = _chebyshev_series(f, _chebyshev_t)
-    w = _chebyshev_series(f[1:], _chebyshev_u)
+    u, w = _chebyshev_pair(f)
     chain = polys.signed_remainder_chain(u, w)
     g = chain[-1]
     r = polys.sturm_count(g, -1, 1) if polys.degree(g) >= 1 else 0
@@ -100,31 +100,18 @@ def _census_square_free(f) -> UnitCircleCensus:
     return UnitCircleCensus(inside, on + 2 * r, n - inside - on - 2 * r)
 
 
-def _chebyshev_series(coeffs, basis):
-    """sum_j coeffs[j] * basis(j), for basis _chebyshev_t or _chebyshev_u."""
-    out = ()
-    for j, c in enumerate(coeffs):
-        if c:
-            out = polys.add(out, polys.scale(basis(j), c))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _chebyshev_t(k: int):
-    if k == 0:
-        return (1,)
-    if k == 1:
-        return (0, 1)
-    return polys.sub(polys.scale(polys.mul((0, 1), _chebyshev_t(k - 1)), 2), _chebyshev_t(k - 2))
-
-
-@lru_cache(maxsize=None)
-def _chebyshev_u(k: int):
-    if k == 0:
-        return (1,)
-    if k == 1:
-        return (0, 2)
-    return polys.sub(polys.scale(polys.mul((0, 1), _chebyshev_u(k - 1)), 2), _chebyshev_u(k - 2))
+def _chebyshev_pair(f):
+    """(u, w) = (sum_j a_j T_j, sum_{j>=1} a_j U_{j-1}) for f = sum_j a_j z**j, by Clenshaw:
+    b_k = a_k + 2c b_{k+1} - b_{k+2} from b_{n+1} = b_{n+2} = 0 down to b_1,
+    then w = b_1 and u = a_0 + c b_1 - b_2."""
+    b1, b2 = [], []  # b_{k+1}, b_{k+2}
+    for k in range(len(f) - 1, -1, -1):
+        two = 2 if k else 1  # the last step builds u instead of b_0
+        b = [f[k]] + [two * c for c in b1]
+        for i, c in enumerate(b2):
+            b[i] -= c
+        b1, b2 = b, b1
+    return polys.normalize(b1), polys.normalize(b2)
 
 
 def euler_phi(n: int) -> int:

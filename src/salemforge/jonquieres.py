@@ -52,12 +52,11 @@ class OrbitData:
 
 def auxiliary_polynomial(o: OrbitData) -> tuple:
     """The degree-(2 + sum n_i) factor of the characteristic polynomial."""
-    quadratic = (-1, -(o.d - 1), 1)
-    blocks = [polys.binomial_xn_plus_1(n) for n in o.tuple]
-    out = polys.mul(quadratic, polys.mul_many(blocks))
-    for i in range(len(blocks)):
-        others = polys.mul_many([b for j, b in enumerate(blocks) if j != i])
-        out = polys.add(out, polys.shift(others, 1))
+    out, prod = (-1, -(o.d - 1), 1), polys.ONE
+    for n in o.tuple:
+        # appending n: P_{s,n} = (X^n + 1) P_s + X Pi_s, with prod = Pi_s = prod_i (X^{s_i} + 1)
+        block = polys.binomial_xn_plus_1(n)
+        out, prod = polys.add(polys.mul(block, out), polys.shift(prod, 1)), polys.mul(block, prod)
     if polys.degree(out) != 2 + sum(o.tuple):
         raise StructureViolation(f"auxiliary polynomial of {o} has degree {polys.degree(out)}")
     return out

@@ -293,7 +293,7 @@ def verify_realization(key: SpectrumKey) -> VerificationReport:
     offcurve.append(_positive("lambda^2+lambda > 0", lam2 + lam))
     for i, n in enumerate(key.tuple, start=2):
         for j in range(n):
-            # lambda^2(lambda^n+1) + lambda^j, from memoised powers
+            # lambda^2(lambda^n+1) + lambda^j, from powers
             expr = ctx.x_power(n + 2) + lam2 + ctx.x_power(j)
             offcurve.append(_positive(f"lambda^2(lambda^{n}+1)+lambda^{j} > 0", expr))
 
@@ -325,7 +325,7 @@ def _distinctness_monomial(ctx, key: SpectrumKey, la, lb):
         return _nonzero(
             f"lambda^{k + 1} != lambda^{l + 1}", ctx.x_power(k + 1) - ctx.x_power(l + 1)
         )
-    # lambda^a(lambda^b+1) = lambda^(a+b) + lambda^a, from memoised powers
+    # lambda^a(lambda^b+1) = lambda^(a+b) + lambda^a, from powers
     lhs = ctx.x_power(k + 1 + nj) + ctx.x_power(k + 1)
     rhs = ctx.x_power(l + 1 + ni) + ctx.x_power(l + 1)
     return _nonzero(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -27,8 +26,8 @@ from .errors import ModulusMismatch, NotInvertible, NotIsolating
 class ResidueContext:
     """Shared modulus plus the certified root all decisions refer to.
 
-    Safe to share across threads: one lock guards the power memo, which
-    only grows.  The root's refinement lives in a slot of the lock-guarded
+    Safe to share across threads: the context holds no mutable state of its
+    own.  The root's refinement lives in a slot of the lock-guarded
     refinement memo of `algebraic`, whose cell only ever narrows.  Contexts
     compare by identity: two roots of one modulus are different contexts.
     """
@@ -45,8 +44,6 @@ class ResidueContext:
             raise ValueError("root.defining must divide the modulus")
         self.modulus = modulus
         self._slot = memo_slot(root)
-        self._lock = threading.Lock()
-        self._powers = [polys.ONE]
         self.zero = ResidueElement(self, (), 1)
         self.one = ResidueElement(self, (1,), 1)
 
@@ -71,13 +68,8 @@ class ResidueContext:
         return self._make(num, den)
 
     def x_power(self, k: int) -> "ResidueElement":
-        """X**k reduced, memoised: the workhorse for lambda-power formulas."""
-        powers = self._powers
-        if k >= len(powers):
-            with self._lock:
-                while len(powers) <= k:
-                    powers.append(self._mod(polys.shift(powers[-1], 1)))
-        return ResidueElement(self, powers[k], 1)
+        """X**k reduced: the workhorse for lambda-power formulas."""
+        return ResidueElement(self, self._mod((0,) * k + (1,)), 1)
 
     def _mod(self, num):
         if polys.degree(num) >= polys.degree(self.modulus):

@@ -248,6 +248,11 @@ def test_unusable_interval_is_skipped_with_warning(tmp_path, lo, hi):
         ({"census": {"inside": -1, "on": 8, "outside": 1}}, "does not fit"),
         # with no circle roots nothing is stripped, so the label is pisot_like
         ({"census": {"inside": 7, "on": 0, "outside": 1}, "label": "salem_like"}, "does not fit"),
+        # -1 is a simple root of the key's polynomial, so on is odd and at least 1
+        ({"census": {"inside": 7, "on": 0, "outside": 1}, "label": "pisot_like"}, "does not fit"),
+        ({"census": {"inside": 5, "on": 2, "outside": 1}}, "does not fit"),
+        # an interval endpoint with a zero denominator
+        ({"interval": {"lo": "1/0", "hi": "3"}}, "malformed"),
     ],
 )
 def test_record_not_tied_to_its_key_is_skipped(tmp_path, change, reason):

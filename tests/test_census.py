@@ -6,6 +6,7 @@ complex pairs of modulus sqrt(m/k)), which is the independent oracle.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -68,10 +69,49 @@ def test_chebyshev_series_identity(coeffs, z):
     # with c = (z + 1/z)/2: T_j(c) = (z^j + z^-j)/2 and
     # U_{j-1}(c) (z - 1/z)/2 = (z^j - z^-j)/2, the identities both halves use
     c = (z + 1 / z) / 2
-    even = polys.eval_at(cen._chebyshev_series(coeffs, cen._chebyshev_t), c)
-    odd = polys.eval_at(cen._chebyshev_series(coeffs, cen._chebyshev_u), c) * (z - 1 / z) / 2
+    u, w = cen._chebyshev_pair(coeffs)
+    even = polys.eval_at(u, c)
+    odd = polys.eval_at(w, c) * (z - 1 / z) / 2
     assert even == sum(a * (z**j + z**-j) / 2 for j, a in enumerate(coeffs))
-    assert odd == sum(a * (z ** (j + 1) - z ** -(j + 1)) / 2 for j, a in enumerate(coeffs))
+    assert odd == sum(a * (z**j - z**-j) / 2 for j, a in enumerate(coeffs) if j >= 1)
+
+
+# --- the basis sums Clenshaw's recurrence replaced, as a reference ---------
+
+
+def _chebyshev_series(coeffs, basis):
+    """sum_j coeffs[j] * basis(j), for basis _chebyshev_t or _chebyshev_u."""
+    out = ()
+    for j, c in enumerate(coeffs):
+        if c:
+            out = polys.add(out, polys.scale(basis(j), c))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_t(k: int):
+    if k == 0:
+        return (1,)
+    if k == 1:
+        return (0, 1)
+    return polys.sub(polys.scale(polys.mul((0, 1), _chebyshev_t(k - 1)), 2), _chebyshev_t(k - 2))
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_u(k: int):
+    if k == 0:
+        return (1,)
+    if k == 1:
+        return (0, 2)
+    return polys.sub(polys.scale(polys.mul((0, 1), _chebyshev_u(k - 1)), 2), _chebyshev_u(k - 2))
+
+
+@given(st.lists(st.integers(-50, 50), max_size=60), st.integers(-50, 50).filter(bool))
+@settings(max_examples=150, deadline=None)
+def test_chebyshev_pair_equals_basis_sums(body, lead):
+    f = tuple(body) + (lead,)  # degree 0 to 60
+    expect = (_chebyshev_series(f, _chebyshev_t), _chebyshev_series(f[1:], _chebyshev_u))
+    assert cen._chebyshev_pair(f) == expect
 
 
 # --- randomized factored inputs with known censuses ---------------------
@@ -186,8 +226,8 @@ def two_path_census(f) -> UnitCircleCensus:
     h = polys.divexact(f, s)
     out = _self_inversive_census(s) if polys.degree(s) >= 1 else C(0, 0, 0)
     if polys.degree(h) >= 1:
-        u = cen._chebyshev_series(h, cen._chebyshev_t)
-        w = cen._chebyshev_series(h[1:], cen._chebyshev_u)
+        u = _chebyshev_series(h, _chebyshev_t)
+        w = _chebyshev_series(h[1:], _chebyshev_u)
         chain = polys.signed_remainder_chain(u, w)
         inside = polys.chain_variations_at(chain, -1) - polys.chain_variations_at(chain, 1)
         out = out + C(inside, 0, polys.degree(h) - inside)
@@ -208,7 +248,7 @@ def _self_inversive_census(s) -> UnitCircleCensus:
     # s(z) = z**k * g(c) with g = s_k + 2 * sum_j s_{k+j} T_j(c)
     k = n // 2
     s = polys.primitive(s)
-    g = cen._chebyshev_series((s[k],) + tuple(2 * c for c in s[k + 1 :]), cen._chebyshev_t)
+    g = _chebyshev_series((s[k],) + tuple(2 * c for c in s[k + 1 :]), _chebyshev_t)
     b = polys.cauchy_bound(g)
     r_in, r_all = polys.sturm_count(g, -1, 1), polys.sturm_count(g, -b, b)
     r_out = r_all - r_in

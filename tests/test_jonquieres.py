@@ -60,6 +60,24 @@ def test_auxiliary_polynomial_symmetric_in_tuple():
         assert auxiliary_polynomial(OrbitData(4, perm)) == a
 
 
+def sum_of_products_auxiliary(d, tup):
+    """(X^2-(d-1)X-1) prod_i (X^{n_i}+1) + X sum_i prod_{j != i} (X^{n_j}+1), multiplied out."""
+    blocks = [polys.binomial_xn_plus_1(n) for n in tup]
+    out = polys.mul((-1, -(d - 1), 1), polys.mul_many(blocks))
+    for i in range(len(blocks)):
+        out = polys.add(out, polys.shift(polys.mul_many(blocks[:i] + blocks[i + 1 :]), 1))
+    return out
+
+
+def test_auxiliary_polynomial_matches_sum_of_products():
+    # the one-pass recurrence against the formula of the module docstring
+    rng = random.Random(23)
+    for _ in range(300):
+        d = rng.randrange(1, 8)
+        tup = tuple(rng.randrange(1, 12) for _ in range(rng.randrange(0, 2 * d - 1)))
+        assert auxiliary_polynomial(OrbitData(d, tup)) == sum_of_products_auxiliary(d, tup)
+
+
 def test_orbit_data_validation():
     with pytest.raises(InvalidOrbitData):
         OrbitData(4, (2,) * 7)  # m = 8 > 2d-1 = 7

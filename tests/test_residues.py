@@ -333,14 +333,16 @@ def run_threads(n, target):
 
 
 def test_x_power_memo_shared_across_threads():
-    # every thread extends the memo to X^300; a racy append would store a
-    # power twice and shift every later one
+    # six threads ask one context for powers up to X^300; then every power
+    # equals X reduced and repeated squaring of X, which needs no long division
+    # of X^k, unlike `reduce`
     modulus = polys.mul(GOLDEN, polys.binomial_xn_plus_1(9))
     for _ in range(5):
         ctx = ResidueContext.for_largest_root(modulus)
         run_threads(6, lambda i: ctx.x_power(300 - i))
         for k in range(301):
             assert ctx.x_power(k) == ctx.reduce([0] * k + [1])
+            assert ctx.x_power(k) == ctx.x_power(1) ** k
 
 
 def test_realization_verdicts_shared_across_threads():
