@@ -11,23 +11,21 @@ import itertools
 import math
 import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
 from .errors import NoRealRoot, NoSplitPoint, NotIsolating
+from .frozen import Frozen, _set
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-@dataclass(frozen=True)
-class RationalInterval:
-    lo: Fraction
-    hi: Fraction
+class RationalInterval(Frozen):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+    def __init__(self, lo: Fraction, hi: Fraction):
+        _set(self, "lo", Fraction(lo))
+        _set(self, "hi", Fraction(hi))
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
 
@@ -36,8 +34,7 @@ class RationalInterval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class AlgebraicReal:
+class AlgebraicReal(Frozen):
     """A real root of `defining`, pinned down by `interval`.
 
     Invariants: `defining` is primitive and square-free, the closed interval
@@ -45,8 +42,11 @@ class AlgebraicReal:
     lo < hi.
     """
 
-    defining: tuple
-    interval: RationalInterval
+    __slots__ = ("defining", "interval")
+
+    def __init__(self, defining: tuple, interval: RationalInterval):
+        _set(self, "defining", defining)
+        _set(self, "interval", interval)
 
     def decimal(self, digits: int = 15) -> str:
         """Decimal rendering at `digits` >= 0 places, correctly rounded half up."""

@@ -16,18 +16,20 @@ arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import polys
 from .errors import CensusContradiction
+from .frozen import Frozen, _set
 
 
-@dataclass(frozen=True)
-class UnitCircleCensus:
-    inside: int
-    on: int
-    outside: int
+class UnitCircleCensus(Frozen):
+    __slots__ = ("inside", "on", "outside")
+
+    def __init__(self, inside: int, on: int, outside: int):
+        _set(self, "inside", inside)
+        _set(self, "on", on)
+        _set(self, "outside", outside)
 
     def __add__(self, other: "UnitCircleCensus") -> "UnitCircleCensus":
         return UnitCircleCensus(

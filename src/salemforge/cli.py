@@ -49,6 +49,8 @@ def _parse_width(text: str) -> Fraction:
             width = Fraction(text)
         if width <= 0:
             raise ValueError("width must be positive")
+        if width < Fraction(1, 10**4000):  # finer widths print numbers past int's 4300-digit str limit
+            raise ValueError("width must be at least 1e-4000")
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad width {text!r}: {exc}")
     return width

@@ -11,25 +11,23 @@ factors as (X - 1) times the auxiliary polynomial
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import matrices, polys
 from .errors import InvalidOrbitData, StructureViolation
+from .frozen import Frozen, _set, _tuple
 
 
-@dataclass(frozen=True)
-class OrbitData:
+class OrbitData(Frozen):
     """Integer degree d >= 1 and integer orbit lengths (n_2, ..., n_m), each >= 1.
 
     m = 1 + len(tuple) must satisfy m <= 2d - 1.  Entries >= 2 are required
     only by the root-theoretic operations, which enforce it themselves.
     """
 
-    d: int
-    tuple: tuple = field(default=())
+    __slots__ = ("d", "tuple")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tuple", tuple(self.tuple))
+    def __init__(self, d: int, tuple: tuple = ()):
+        _set(self, "d", d)
+        _set(self, "tuple", _tuple(tuple))
         if not all(type(n) is int for n in (self.d, *self.tuple)):  # no float, str or bool
             raise InvalidOrbitData(f"degree and orbit lengths must be integers, got {self.d!r}, {self.tuple!r}")
         if self.d < 1:
@@ -133,12 +131,11 @@ def defect_matrix(o: OrbitData) -> tuple:
     return tuple(tuple(row) for row in h)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    orbit: OrbitData
-    canonical_row: tuple
-    canonical_row_fixed: bool
-    defect_scale: int
+class StructureReport(Frozen):
+    __slots__ = ("orbit", "canonical_row", "canonical_row_fixed", "defect_scale")
+
+    def __init__(self, orbit: OrbitData, canonical_row: tuple, canonical_row_fixed: bool, defect_scale: int):
+        super().__init__(orbit, canonical_row, canonical_row_fixed, defect_scale)
 
 
 def verify_structure(o: OrbitData) -> StructureReport:

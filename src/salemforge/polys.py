@@ -9,9 +9,9 @@ cached per polynomial.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .errors import EndpointIsRoot
 

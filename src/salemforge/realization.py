@@ -18,11 +18,11 @@ polynomial itself may be reducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
 from .errors import InvalidKey, StructureViolation
+from .frozen import Frozen, _set
 from .jonquieres import jonquieres_matrix
 from .residues import (
     ResidueContext,
@@ -35,13 +35,12 @@ from .serialize import ratio_to_str
 from .spectrum import SpectrumKey
 
 
-@dataclass(frozen=True)
-class RealizationPlan:
-    key: SpectrumKey
-    context: ResidueContext
-    a: ResidueElement  # the dominant eigenvalue lambda
-    b: ResidueElement  # lambda + 1
-    points: dict  # (orbit, step) -> affine parameter, in basis order; orbit 1 has steps 0, 1
+class RealizationPlan(Frozen):
+    # a = lambda, b = lambda + 1; points: (orbit, step) -> affine parameter, in basis order; orbit 1 has steps 0, 1
+    __slots__ = ("key", "context", "a", "b", "points")
+
+    def __init__(self, key: SpectrumKey, context: ResidueContext, a: ResidueElement, b: ResidueElement, points: dict):
+        super().__init__(key, context, a, b, points)
 
     def point(self, orbit: int, step: int) -> ResidueElement:
         return self.points[(orbit, step)]
@@ -168,13 +167,15 @@ def check_eigen_system(plan: RealizationPlan) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    num: tuple  # the residue representative is num/den, as in ResidueElement
-    den: int
-    expected: str  # 'zero' | 'nonzero' | 'positive'
-    passed: bool
+class CheckResult(Frozen):
+    __slots__ = ("name", "num", "den", "expected", "passed")
+
+    def __init__(self, name: str, num: tuple, den: int, expected: str, passed: bool):
+        _set(self, "name", name)
+        _set(self, "num", num)  # the residue representative is num/den, as in ResidueElement
+        _set(self, "den", den)
+        _set(self, "expected", expected)  # 'zero' | 'nonzero' | 'positive'
+        _set(self, "passed", passed)
 
     @property
     def expression(self) -> list:
@@ -182,10 +183,11 @@ class CheckResult:
         return [Fraction(c, self.den) for c in self.num]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    key: SpectrumKey
-    groups: tuple  # ((group name, (CheckResult, ...)), ...)
+class VerificationReport(Frozen):
+    __slots__ = ("key", "groups")  # groups: ((group name, (CheckResult, ...)), ...)
+
+    def __init__(self, key: SpectrumKey, groups: tuple):
+        super().__init__(key, groups)
 
     @property
     def overall_pass(self) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -21,6 +20,7 @@ from . import polys
 # `refine` stays importable as residues.refine, which the benchmark tracer's alias test reads
 from .algebraic import AlgebraicReal, isolate_largest_real_root, memo_slot, refine, vanishes_at  # noqa: F401
 from .errors import ModulusMismatch, NotInvertible, NotIsolating
+from .frozen import Frozen, _set
 
 
 class ResidueContext:
@@ -68,7 +68,9 @@ class ResidueContext:
         return self._make(num, den)
 
     def x_power(self, k: int) -> "ResidueElement":
-        """X**k reduced: the workhorse for lambda-power formulas."""
+        """X**k reduced; a negative k inverts X as `**` does, or raises NotInvertible."""
+        if k < 0:
+            return self.x_power(1).inverse() ** -k
         return ResidueElement(self, self._mod((0,) * k + (1,)), 1)
 
     def _mod(self, num):
@@ -88,13 +90,15 @@ class ResidueContext:
         return ResidueElement(self, num, den)
 
 
-@dataclass(frozen=True)
-class ResidueElement:
+class ResidueElement(Frozen):
     """representative = num/den, an element of Q[X]/(modulus)."""
 
-    context: ResidueContext
-    num: tuple
-    den: int
+    __slots__ = ("context", "num", "den")
+
+    def __init__(self, context: ResidueContext, num: tuple, den: int):
+        _set(self, "context", context)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     def _check(self, other) -> "ResidueElement":
         if isinstance(other, int):

@@ -11,7 +11,6 @@ value grows strictly with the last entry (induction on m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,18 +25,18 @@ from .algebraic import (
 )
 from .census import UnitCircleCensus, salem_pisot_label, unit_circle_census
 from .errors import BoundTooSmall, CensusContradiction, InvalidKey, StructureViolation, ToleranceNotReached
+from .frozen import Frozen, _set, _tuple
 from .jonquieres import OrbitData, auxiliary_polynomial
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
 
 
-@dataclass(frozen=True)
-class SpectrumKey:
-    d: int
-    tuple: tuple = ()
+class SpectrumKey(Frozen):
+    __slots__ = ("d", "tuple")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tuple", tuple(self.tuple))
+    def __init__(self, d: int, tuple: tuple = ()):
+        _set(self, "d", d)
+        _set(self, "tuple", _tuple(tuple))
         if not all(type(n) is int for n in (self.d, *self.tuple)):  # no float, str or bool
             raise InvalidKey(f"spectrum keys need integer d and entries, got {self.d!r}, {self.tuple!r}")
         if self.d < 4:
@@ -59,12 +58,11 @@ class SpectrumKey:
         return auxiliary_polynomial(self.orbit)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    key: SpectrumKey
-    value: AlgebraicReal
-    census: UnitCircleCensus
-    label: str
+class SpectrumEntry(Frozen):
+    __slots__ = ("key", "value", "census", "label")
+
+    def __init__(self, key: SpectrumKey, value: AlgebraicReal, census: UnitCircleCensus, label: str):
+        super().__init__(key, value, census, label)
 
 
 @lru_cache(maxsize=8192)
@@ -171,14 +169,11 @@ def verify_append_decrease(key: SpectrumKey, appended: int) -> bool:
     return compare(_dominant_root(extended), _dominant_root(key)) == LESS
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    d: int
-    prefix: tuple
-    first: int
-    last: int
-    gap_bound: Fraction
-    tolerance: Fraction
+class LimitReport(Frozen):
+    __slots__ = ("d", "prefix", "first", "last", "gap_bound", "tolerance")
+
+    def __init__(self, d: int, prefix: tuple, first: int, last: int, gap_bound: Fraction, tolerance: Fraction):
+        super().__init__(d, prefix, first, last, gap_bound, tolerance)
 
 
 def verify_limit_convergence(d: int, prefix: tuple, first: int, last: int, tolerance) -> LimitReport:

@@ -12,19 +12,19 @@ completeness claim for arbitrary isometries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import matrices
 from .errors import IndexClash, NotAnIsometry, RankTooSmall
+from .frozen import Frozen
 from .jonquieres import intersection_form
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(Frozen):
     """Index triples (i, j, k) of quadratic steps, each applied on the left in turn."""
 
-    steps: tuple
-    terminal: tuple
+    __slots__ = ("steps", "terminal")
+
+    def __init__(self, steps: tuple, terminal: tuple):
+        super().__init__(steps, terminal)
 
     @property
     def quadratic_steps(self) -> int:
@@ -40,10 +40,11 @@ class ReductionTrace:
         return [{"side": "left", "kind": "quadratic", "indices": list(t)} for t in self.steps]
 
 
-@dataclass(frozen=True)
-class NotReduced:
-    terminal: tuple
-    reason: str
+class NotReduced(Frozen):
+    __slots__ = ("terminal", "reason")
+
+    def __init__(self, terminal: tuple, reason: str):
+        super().__init__(terminal, reason)
 
 
 def preserves_form(m: tuple) -> bool:

@@ -180,6 +180,13 @@ def test_non_positive_width_exits_2(capsys, width):
     assert "positive" in capsys.readouterr().err
 
 
+def test_width_below_the_digit_limit_exits_2_before_refining(capsys):
+    # 1e-5000 used to refine, then fail printing a 5000-digit denominator
+    assert usage_exit_code("lambda", "--d", "4", "--tuple", "2", "--width", "1e-5000") == 2
+    err = capsys.readouterr().err
+    assert "width must be at least 1e-4000" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["poly", "census", "classify", "realize", "lambda"])
 def test_csv_on_json_command_exits_2(capsys, command):
     assert usage_exit_code(command, "--d", "4", "--tuple", "2", "--format", "csv") == 2

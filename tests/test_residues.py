@@ -210,6 +210,16 @@ def test_negative_power_is_a_power_of_the_inverse(ctx):
         ctx.zero**-2
 
 
+def test_negative_x_power_is_a_power_of_the_inverse(ctx):
+    assert ctx.x_power(-1) == ctx.x_power(1).inverse() == ctx.reduce([-3, 1])
+    assert ctx.x_power(-3) * ctx.x_power(3) == ctx.one
+    assert ctx.x_power(-3) == ctx.x_power(1) ** -3
+    # X divides X^2 - 3X, so X has no inverse modulo it
+    divisible = ResidueContext.for_largest_root((0, -3, 1))
+    with pytest.raises(NotInvertible):
+        divisible.x_power(-1)
+
+
 def test_float_operand_is_refused(ctx):
     # 0.1 is not 1/10; an exact ring takes only exact operands
     x = ctx.x_power(1)
