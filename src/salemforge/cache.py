@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import polys
 from .algebraic import GREATER, AlgebraicReal, RationalInterval, compare_with_rational
-from .census import UnitCircleCensus
+from .census import UnitCircleCensus, salem_pisot_label
 from .errors import EndpointIsRoot, InvalidKey, StoreCorrupt
 from .serialize import (
     census_to_dict,
@@ -29,7 +29,6 @@ from .spectrum import SpectrumEntry, SpectrumKey
 
 SCHEMA = 1
 ENV_VAR = "SALEMFORGE_CACHE"
-LABELS = ("pisot_like", "salem_like", "undetermined")  # every label census.salem_pisot_label gives
 
 
 class _FileLock:
@@ -105,15 +104,13 @@ def record_to_entry(record: dict):
         if not all(type(c) is int for c in (census.inside, census.on, census.outside)):
             raise TypeError(f"census counts must be integers, got {record['census']}")
         label = record["label"]
-        fits = label in LABELS and census.total == polys.degree(key_poly) and census.outside == 1
+        fits = census.total == polys.degree(key_poly) and census.outside == 1
         off_axis = census.on - polys.degree(key_poly) + polys.degree(q)  # conjugate pairs, so even
         fits = fits and min(census.inside, off_axis) >= 0 and off_axis % 2 == 0
-        # with on == 0 salem_pisot_label strips nothing: pisot_like
-        fits = fits and (census.on > 0 or label == "pisot_like")
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:  # ZeroDivisionError: "p/0"
         raise StoreCorrupt(f"malformed record: {exc}") from exc
     if not fits:
-        raise StoreCorrupt("stored label or census does not fit the key's polynomial")
+        raise StoreCorrupt("stored census does not fit the key's polynomial")
     try:
         if polys.sturm_count(poly, lo, hi) != 1:
             raise StoreCorrupt("stored interval does not isolate a root")
@@ -126,6 +123,8 @@ def record_to_entry(record: dict):
     # a root of a factor of the key's polynomial exceeding 2, as _dominant_root certifies
     if polys.pseudo_divmod(key_poly, poly)[1] or compare_with_rational(value, 2) != GREATER:
         raise StoreCorrupt("stored value is not the dominant root of the key's polynomial")
+    if label != salem_pisot_label(key_poly, value):
+        raise StoreCorrupt("stored label does not fit the key's polynomial")
     return SpectrumEntry(key, value, census, label)
 
 

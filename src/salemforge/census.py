@@ -16,9 +16,11 @@ arithmetic:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from . import polys
+from .algebraic import refine
 from .errors import CensusContradiction
 from .frozen import Frozen, _set
 
@@ -116,6 +118,7 @@ def _chebyshev_pair(f):
     return polys.normalize(b1), polys.normalize(b2)
 
 
+# kept: used only by strip_cyclotomic_factors, which perfbench/tracing.py binds
 def euler_phi(n: int) -> int:
     out = n
     m = n
@@ -131,6 +134,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
+# kept: used only by strip_cyclotomic_factors, which perfbench/tracing.py binds
 @lru_cache(maxsize=None)
 def _cyclotomic_indices(max_degree: int) -> tuple:
     """Every n with phi(n) <= max_degree, ascending."""
@@ -139,6 +143,7 @@ def _cyclotomic_indices(max_degree: int) -> tuple:
     return tuple(n for n in range(1, limit + 1) if euler_phi(n) <= max_degree)
 
 
+# kept: perfbench/tracing.py binds this name
 def strip_cyclotomic_factors(p, max_degree: int):
     """Divide out every cyclotomic factor of degree <= max_degree.
 
@@ -166,28 +171,29 @@ def is_self_reciprocal(p) -> bool:
     return r == p or r == polys.neg(p)
 
 
-def salem_pisot_label(p, on=None):
-    """Best-effort Salem/Pisot label for the dominant root of p, as
-    (label, stripped, removed); `on` is p's on-circle count if known.
+def salem_pisot_label(p, value) -> str:
+    """Salem/Pisot label of a key polynomial p whose dominant root is `value`.
 
-    After removing cyclotomic factors: no roots on the circle means every
-    non-dominant conjugate is strictly inside (pisot_like); remaining circle
-    roots on a self-reciprocal cofactor match the Salem shape (salem_like);
-    circle roots on a non-reciprocal cofactor cannot be attributed without
-    factoring, so the label stays undetermined.
-
-    Every root of a cyclotomic factor lies on the circle, so Phi_n**k | p
-    forces k * phi(n) <= on: stripping to degree `on` is exact, and the
-    stripped on-count is `on` less the removed degrees.
+    p must be monic with p(0) = +-1 (else ValueError) and have one root, lambda,
+    outside the unit circle.  Factor lemma: p = M * C, with M the minimal
+    polynomial of lambda, once, and C cyclotomic.  Proof: any other irreducible
+    factor N is monic with |N(0)| = 1 and its roots in the closed disc, so on
+    the circle, and N is cyclotomic by Kronecker's theorem.  Each Phi_n is
+    +-reciprocal, so p is iff M is, and a circle root z of M makes M reciprocal
+    (1/z = conj z is a root).  A reciprocal M has no circle root iff it is
+    X^2 - aX + 1, a = lambda + 1/lambda: pisot_like; else salem_like.  An integer
+    a > 2 with X^2 - aX + 1 | p gives a root outside the circle, lambda, so the
+    test is exact once [lo + 1/hi, hi + 1/lo], holding lambda + 1/lambda for
+    lo > 0, holds at most one integer.
     """
-    if on is None:
-        on = unit_circle_census(p).on
-    stripped, removed = strip_cyclotomic_factors(p, on)
-    on -= sum(mult * euler_phi(n) for n, mult in removed)
-    if on < 0:
-        raise CensusContradiction("stripped cyclotomic roots outnumber the circle roots")
-    if on == 0:
-        return "pisot_like", stripped, removed
-    if is_self_reciprocal(stripped):
-        return "salem_like", stripped, removed
-    return "undetermined", stripped, removed
+    if not polys.is_monic(p) or abs(p[0]) != 1:
+        raise ValueError(f"the factor lemma needs a monic polynomial with constant term +-1, got {p}")
+    if not is_self_reciprocal(p):
+        return "pisot_like"
+    iv = value.interval
+    while iv.lo <= 0 or math.floor(iv.hi + 1 / iv.lo) > math.ceil(iv.lo + 1 / iv.hi):
+        iv = refine(value, iv.width / 2).interval
+    a = math.floor(iv.hi + 1 / iv.lo)
+    if a > 2 and a >= iv.lo + 1 / iv.hi and not polys.monic_divmod(p, (1, -a, 1))[1]:
+        return "pisot_like"
+    return "salem_like"

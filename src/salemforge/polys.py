@@ -256,17 +256,11 @@ def pseudo_divmod(p: IntPoly, q: IntPoly) -> tuple:
 
 
 def gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient (primitive PRS)."""
-    a, b = primitive(p), primitive(q)
-    if not a:
-        return b
-    if not b:
-        return a
-    if degree(a) < degree(b):
-        a, b = b, a
-    while b:
-        a, b = b, primitive(pseudo_divmod(a, b)[1])
-    return primitive(a)
+    """Primitive gcd with positive leading coefficient: the remainder sequence's last member."""
+    if len(p) < len(q):
+        p, q = q, p
+    chain = signed_remainder_chain(p, q)
+    return primitive(chain[-1]) if chain else ZERO
 
 
 def inverse_mod(a: IntPoly, m: IntPoly):
@@ -365,9 +359,8 @@ def signed_remainder_chain(f0: IntPoly, f1: IntPoly) -> tuple:
         # prem = lc(b)**k * rem with k = deg a - deg b + 1; fix the sign so
         # the stored member is a positive multiple of -rem.
         k = degree(a) - degree(b) + 1
-        s = sign(b[-1]) ** k
-        r = tuple(-s * c for c in r)
-        chain.append(primitive_signed(r))
+        g = -sign(b[-1]) ** k * content(r)
+        chain.append(tuple(c // g for c in r))
     return tuple(c for c in chain if c)
 
 
@@ -413,6 +406,7 @@ def sturm_count(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     return chain_variations_at(chain, lo) - chain_variations_at(chain, hi)
 
 
+# kept: used only by strip_cyclotomic_factors, which perfbench/tracing.py binds
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial."""

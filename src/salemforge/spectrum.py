@@ -223,6 +223,5 @@ def classify_entry(key: SpectrumKey) -> SpectrumEntry:
             f"{census.outside} roots outside the unit circle for {key}"
         )
     value = dynamical_degree(key)
-    label, _, _ = salem_pisot_label(poly, census.on)
-    return SpectrumEntry(key, value, census, label)
+    return SpectrumEntry(key, value, census, salem_pisot_label(poly, value))
 

@@ -206,16 +206,12 @@ def test_criterion_11_salem_pisot_dichotomy():
     for d, tup in ((4, (2, 3, 4, 5, 6, 7)), (5, (2, 3, 4, 5, 6, 7, 8, 9))):
         entry = classify_entry(SpectrumKey(d, tup))  # CensusContradiction = failure
         assert entry.census.outside == 1
-        assert entry.label in ("salem_like", "undetermined"), entry
-        if entry.label == "undetermined":
-            print(f"  residual unexplained factor for {(d, tup)}")
+        assert entry.label == "salem_like", entry
         observed[(d, tup)] = entry.label
     for tup in ((), (2,), (2, 3), (3, 5), (2, 3, 4)):
         entry = classify_entry(SpectrumKey(4, tup))
         assert entry.census.outside == 1
-        assert entry.label in ("pisot_like", "undetermined"), entry
-        if entry.label == "undetermined":
-            print(f"  residual unexplained factor for {(4, tup)}")
+        assert entry.label == "pisot_like", entry
         observed[(4, tup)] = entry.label
     assert observed[(4, (2, 3, 4, 5, 6, 7))] == "salem_like"
     assert observed[(5, (2, 3, 4, 5, 6, 7, 8, 9))] == "salem_like"

@@ -246,19 +246,26 @@ def test_unusable_interval_is_skipped_with_warning(tmp_path, lo, hi):
         ({"census": {"inside": 4.0, "on": 3, "outside": 1}}, "malformed"),
         # counts that sum to the degree, but one is negative
         ({"census": {"inside": -1, "on": 8, "outside": 1}}, "does not fit"),
-        # with no circle roots nothing is stripped, so the label is pisot_like
+        # -1 is a root of the key's polynomial, so on is at least 1
         ({"census": {"inside": 7, "on": 0, "outside": 1}, "label": "salem_like"}, "does not fit"),
         # -1 is a simple root of the key's polynomial, so on is odd and at least 1
         ({"census": {"inside": 7, "on": 0, "outside": 1}, "label": "pisot_like"}, "does not fit"),
         ({"census": {"inside": 5, "on": 2, "outside": 1}}, "does not fit"),
         # an interval endpoint with a zero denominator
         ({"interval": {"lo": "1/0", "hi": "3"}}, "malformed"),
+        # labels the factor lemma rules out: the reciprocal key (4; 2, ..., 7) is
+        # salem_like, the non-reciprocal (4; 3, 3) pisot_like, and no key is undetermined
+        ({"key": (2, 3, 4, 5, 6, 7), "label": "pisot_like"}, "does not fit"),
+        ({"label": "salem_like"}, "does not fit"),
+        ({"label": "undetermined"}, "does not fit"),
     ],
 )
 def test_record_not_tied_to_its_key_is_skipped(tmp_path, change, reason):
-    # the key's polynomial (X + 1)(X^2 - X + 1)(X^5 - 3X^4 - ...) has the
-    # real roots -1 and lambda; its census is (4, 3, 1)
-    entry = make_entry(4, (3, 3))
+    # the key is (4; 3, 3) unless the change names another: its polynomial
+    # (X + 1)(X^2 - X + 1)(X^5 - 3X^4 - ...) has the real roots -1 and lambda,
+    # and its census is (4, 3, 1)
+    change = dict(change)
+    entry = make_entry(4, change.pop("key", (3, 3)))
     path = tmp_path / "cache.jsonl"
     store = SpectrumStore(path)
     store.put(entry)

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from salemforge import census as cen
 from salemforge import polys
+from salemforge.algebraic import AlgebraicReal, RationalInterval, isolate_largest_real_root
 from salemforge.census import UnitCircleCensus, unit_circle_census
 from salemforge.errors import CensusContradiction
+from salemforge.spectrum import SpectrumKey, dynamical_degree
 
 
 def C(i, o, u):
@@ -283,17 +285,49 @@ def test_strip_respects_degree_bound():
     assert stripped == p and removed == []
 
 
+def oracle_label(p, on=None):
+    """Salem/Pisot label by cyclotomic stripping, as (label, stripped, removed);
+    `on` is p's on-circle count if known.
+
+    After removing cyclotomic factors: no roots on the circle means every
+    non-dominant conjugate is strictly inside (pisot_like); remaining circle
+    roots on a self-reciprocal cofactor match the Salem shape (salem_like);
+    circle roots on a non-reciprocal cofactor cannot be attributed without
+    factoring, so the label stays undetermined.
+
+    Every root of a cyclotomic factor lies on the circle, so Phi_n**k | p
+    forces k * phi(n) <= on: stripping to degree `on` is exact, and the
+    stripped on-count is `on` less the removed degrees.
+    """
+    if on is None:
+        on = unit_circle_census(p).on
+    stripped, removed = cen.strip_cyclotomic_factors(p, on)
+    on -= sum(mult * cen.euler_phi(n) for n, mult in removed)
+    if on < 0:
+        raise CensusContradiction("stripped cyclotomic roots outnumber the circle roots")
+    if on == 0:
+        return "pisot_like", stripped, removed
+    if cen.is_self_reciprocal(stripped):
+        return "salem_like", stripped, removed
+    return "undetermined", stripped, removed
+
+
+def label(p):
+    """The factor-lemma label of p at its largest real root."""
+    return cen.salem_pisot_label(p, isolate_largest_real_root(p))
+
+
 def test_label_pisot():
-    label, stripped, _ = cen.salem_pisot_label((-1, -2, 0, -3, 1))
-    assert label == "pisot_like"
+    assert oracle_label((-1, -2, 0, -3, 1))[0] == "pisot_like"
+    assert label((-1, -2, 0, -3, 1)) == "pisot_like"
 
 
 def test_label_salem_shape():
     # Lehmer's polynomial: the classical degree-10 Salem minimal polynomial
     lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
     assert cen.is_self_reciprocal(lehmer)
-    label, stripped, removed = cen.salem_pisot_label(lehmer)
-    assert label == "salem_like"
+    assert oracle_label(lehmer)[0] == "salem_like"
+    assert label(lehmer) == "salem_like"
     c = unit_circle_census(lehmer)
     assert (c.inside, c.on, c.outside) == (1, 8, 1)
 
@@ -302,8 +336,7 @@ def test_label_undetermined():
     # (X^2-3X-1) times a non-cyclotomic, non-reciprocal-completing factor
     # with both roots on the circle: 2z^2 - 3z + 2
     p = polys.mul((-1, -3, 1), (2, -3, 2))
-    label, stripped, _ = cen.salem_pisot_label(p)
-    assert label == "undetermined"
+    assert oracle_label(p)[0] == "undetermined"
     assert unit_circle_census(p) == C(1, 2, 1)
 
 
@@ -349,11 +382,11 @@ def test_label_from_known_on_count_matches_second_census(p, bound):
     # classify_entry passes the on-count of p in place of a census of the stripped p;
     # stripping `bound` degrees past the on-count finds no further factor
     on = unit_circle_census(p).on
-    assert cen.salem_pisot_label(p, on) == cen.salem_pisot_label(p) == unbounded_label(p, on + bound)
+    assert oracle_label(p, on) == oracle_label(p) == unbounded_label(p, on + bound)
 
 
 def unbounded_label(p, strip_degree_bound):
-    """salem_pisot_label as defined before the on-bound: strip to the given bound, census the rest."""
+    """oracle_label as defined before the on-bound: strip to the given bound, census the rest."""
     stripped, removed = cen.strip_cyclotomic_factors(p, strip_degree_bound)
     if unit_circle_census(stripped).on == 0:
         return "pisot_like", stripped, removed
@@ -384,8 +417,9 @@ def test_on_bounded_strip_matches_unbounded_strip():
     for key in keys:
         p, bound = key.polynomial(), 2 * max(key.tuple, default=2)
         on = unit_circle_census(p).on
-        got = cen.salem_pisot_label(p, on)
-        assert got == unbounded_label(p, on) == cen.salem_pisot_label(p), key
+        got = oracle_label(p, on)
+        assert got == unbounded_label(p, on) == oracle_label(p), key
+        assert cen.salem_pisot_label(p, dynamical_degree(key)) == got[0], key
         # the former cap of 2 * max(tuple) strips the same factors on these keys
         assert got == unbounded_label(p, bound), key
         seen.add((got[0], bool(got[2]), on < bound))
@@ -394,3 +428,65 @@ def test_on_bounded_strip_matches_unbounded_strip():
     assert {label for label, _, _ in seen} == {"pisot_like", "salem_like"}
     assert {removed for _, removed, _ in seen} == {True, False}
     assert {below for _, _, below in seen} == {True, False}
+
+
+# keys with d <= 7, each entry at most 9 and at most 8 entries
+spectrum_keys = st.integers(4, 7).flatmap(
+    lambda d: st.lists(st.integers(2, 9), max_size=min(2 * d - 2, 8)).map(lambda t: SpectrumKey(d, tuple(t)))
+)
+
+
+@given(spectrum_keys)
+@settings(max_examples=60, deadline=None)
+def test_factor_lemma_label_matches_stripping_oracle(key):
+    p = key.polynomial()
+    census = unit_circle_census(p)
+    assert census.outside == 1
+    assert cen.salem_pisot_label(p, dynamical_degree(key)) == oracle_label(p, census.on)[0]
+
+
+PHI = polys.cyclotomic
+
+
+@pytest.mark.parametrize(
+    "factors, expect",
+    [
+        # M = X^2 - 3X + 1 is reciprocal and quadratic: Pisot
+        ([(1, -3, 1), PHI(1), PHI(4)], "pisot_like"),
+        ([LEHMER, PHI(12), PHI(12), PHI(2)], "salem_like"),
+        ([(-1, -3, 1), PHI(1), PHI(4)], "pisot_like"),
+        # X^2 - 2X + 1 = Phi_1^2 divides p and 2 is the only integer near
+        # lambda + 1/lambda = 2.026..., but a = 2 gives no root outside the circle
+        ([LEHMER, PHI(1), PHI(1)], "salem_like"),
+    ],
+)
+def test_label_of_synthetic_polynomials(factors, expect):
+    p = polys.mul_many(factors)
+    assert polys.is_monic(p) and abs(p[0]) == 1
+    assert unit_circle_census(p).outside == 1
+    assert label(p) == oracle_label(p)[0] == expect
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        SpectrumKey(4, (2, 3, 4, 5, 6, 7)).polynomial(),
+        SpectrumKey(4, (3, 3)).polynomial(),
+        polys.mul_many([(1, -3, 1), PHI(1), PHI(4)]),
+        polys.mul_many([LEHMER, PHI(1), PHI(1)]),
+    ],
+)
+def test_label_from_wide_interval(p):
+    # the cache hands over whatever interval was stored: the label refines it as it needs
+    value = isolate_largest_real_root(p)
+    lo, hi = Fraction(1001, 1000), polys.cauchy_bound(value.defining)
+    assert polys.sturm_count(value.defining, lo, hi) == 1
+    wide = AlgebraicReal(value.defining, RationalInterval(lo, hi))
+    assert cen.salem_pisot_label(p, wide) == label(p) == oracle_label(p)[0]
+
+
+@pytest.mark.parametrize("p", [UNDETERMINED, (-2, -3, 1), polys.mul((-1, -3, 1), (2, 0, 1))])
+def test_label_outside_the_factor_lemma_raises(p):
+    # a leading coefficient or constant term other than +-1 voids the lemma
+    with pytest.raises(ValueError, match="factor lemma"):
+        label(p)

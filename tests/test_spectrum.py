@@ -14,7 +14,7 @@ import pytest
 
 from salemforge import polys, spectrum
 from salemforge.algebraic import EQUAL, GREATER, LESS, compare, compare_with_rational
-from salemforge.census import salem_pisot_label, unit_circle_census
+from salemforge.census import unit_circle_census
 from salemforge.errors import BoundTooSmall, InvalidKey, StructureViolation, ToleranceNotReached
 from salemforge.jonquieres import OrbitData, auxiliary_polynomial
 from salemforge.spectrum import (
@@ -29,6 +29,8 @@ from salemforge.spectrum import (
     verify_limit_convergence,
     verify_monotone_increase,
 )
+
+from test_census import oracle_label
 
 
 def sqrt_fraction(n, digits):
@@ -233,10 +235,10 @@ def sweep_keys():
 
 
 def one_census_removed(key):
-    """classify_entry against a second census; returns the stripped factors."""
+    """classify_entry against a second census and the stripping oracle; returns the stripped factors."""
     p = key.polynomial()
     entry = classify_entry(key)
-    label, _, removed = salem_pisot_label(p)
+    label, _, removed = oracle_label(p)
     assert entry.census == unit_circle_census(p), key
     assert entry.label == label, key
     return removed
