@@ -19,7 +19,7 @@ from .census import unit_circle_census
 from .errors import SalemforgeError, StructureViolation, CensusContradiction
 from .jonquieres import OrbitData, auxiliary_polynomial, basis_labels, jonquieres_matrix
 from .realization import verify_realization
-from .serialize import census_to_dict, frac_to_str, interval_to_dict, poly_to_strings
+from .serialize import census_to_dict, frac_to_str, interval_to_dict, poly_to_strings, str_to_frac
 from .spectrum import (
     SpectrumEntry,
     SpectrumKey,
@@ -42,11 +42,7 @@ def _parse_tuple(text: str) -> tuple:
 
 def _parse_width(text: str) -> Fraction:
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            width = Fraction(int(num), int(den))
-        else:
-            width = Fraction(text)
+        width = str_to_frac(text) if "/" in text else Fraction(text)
         if width <= 0:
             raise ValueError("width must be positive")
         if width < Fraction(1, 10**4000):  # finer widths print numbers past int's 4300-digit str limit
@@ -274,7 +270,8 @@ def main(argv=None) -> int:
     except (StructureViolation, CensusContradiction) as exc:
         print(f"internal contradiction: {exc}", file=sys.stderr)
         return 1
-    except (SalemforgeError, OSError) as exc:  # OSError: the --cache path cannot be used
+    except (SalemforgeError, OSError, OverflowError) as exc:
+        # OSError: the --cache path cannot be used; OverflowError: an orbit length too large to index
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

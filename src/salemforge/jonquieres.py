@@ -60,30 +60,22 @@ def auxiliary_polynomial(o: OrbitData) -> tuple:
     return out
 
 
+def basis(o: OrbitData) -> list:
+    """The exceptional classes (i, j) for E(i,j), in basis order after L."""
+    return [(1, 0), (1, 1)] + [(i, j) for i, n in enumerate(o.tuple, start=2) for j in range(n)]
+
+
 def basis_labels(o: OrbitData) -> list:
-    labels = ["L", "E(1,0)", "E(1,1)"]
-    for i, n in enumerate(o.tuple, start=2):
-        labels.extend(f"E({i},{j})" for j in range(n))
-    return labels
-
-
-def _orbit_offsets(o: OrbitData) -> list:
-    """Start index of each orbit block (orbit 1 first) in the basis."""
-    offsets = [1]
-    pos = 3
-    for n in o.tuple:
-        offsets.append(pos)
-        pos += n
-    return offsets
+    return ["L"] + [f"E({i},{j})" for i, j in basis(o)]
 
 
 def jonquieres_matrix(o: OrbitData) -> tuple:
     """The lattice action on the ordered basis; columns are images."""
     d = o.d
     n_total = o.matrix_size
-    offsets = _orbit_offsets(o)
+    # allocated before basis(o): an orbit length past the index range raises OverflowError here
     col = [[0] * n_total for _ in range(n_total)]
-    heads = [offsets[i] for i in range(1, len(offsets))]  # E(i,0), i >= 2
+    heads = [k for k, (i, j) in enumerate(basis(o), start=1) if i >= 2 and j == 0]  # E(i,0), i >= 2
 
     # image of L
     col[0][0] = d
@@ -98,8 +90,7 @@ def jonquieres_matrix(o: OrbitData) -> tuple:
     for h in heads:
         col[2][h] = -1
     # orbits i >= 2
-    for idx, n in enumerate(o.tuple):
-        start = offsets[idx + 1]
+    for start, n in zip(heads, o.tuple):
         for j in range(n - 1):
             col[start + j][start + j + 1] = 1
         last = start + n - 1

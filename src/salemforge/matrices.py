@@ -43,7 +43,9 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def vec_mat(v, a: Matrix) -> tuple:
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(v)))
+    """Row vector times matrix, v*a; each column sums only its nonzero entries, so an
+    all-zero column gives the int 0 whatever the type of v's entries."""
+    return tuple(sum(x * c for x, c in zip(v, column) if c) for column in zip(*a))
 
 
 # kept: perfbench/tracing.py binds this name

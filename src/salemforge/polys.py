@@ -105,7 +105,9 @@ def pow_int(p: IntPoly, n: int) -> IntPoly:
 
 
 def binomial_xn_plus_1(n: int) -> IntPoly:
-    """X**n + 1."""
+    """X**n + 1, for n >= 1."""
+    if n < 1:
+        raise ValueError(f"X^n + 1 needs n >= 1, got {n}")
     return normalize([1] + [0] * (n - 1) + [1])
 
 

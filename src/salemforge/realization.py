@@ -23,7 +23,8 @@ from fractions import Fraction
 from . import polys
 from .errors import InvalidKey, StructureViolation
 from .frozen import Frozen, _set
-from .jonquieres import jonquieres_matrix
+from .jonquieres import basis, jonquieres_matrix
+from .matrices import vec_mat
 from .residues import (
     ResidueContext,
     ResidueElement,
@@ -78,19 +79,11 @@ def transpose_eigenvector(key: SpectrumKey, context: ResidueContext | None = Non
 
 def _is_transpose_eigenvector(key: SpectrumKey, ctx: ResidueContext, v) -> bool:
     """J^T v = lambda v, row by row, in Q[X]/(M): each row's numerator is a
-    multiple of the key's polynomial, so it reduces to the zero polynomial."""
-    j = jonquieres_matrix(key.orbit)
+    multiple of the key's polynomial, so it reduces to the zero polynomial.
+    (J^T v)[r] = sum_k J[k][r] v[k] is the row vector product v J."""
     lam = ctx.x_power(1)
-    n = len(j)
-    for row in range(n):
-        lhs = ctx.zero
-        for col in range(n):
-            c = j[col][row]  # (J^T)[row][col]
-            if c:
-                lhs = lhs + c * v[col]
-        if not (lhs - lam * v[row]).is_zero_poly:
-            return False
-    return True
+    rows = vec_mat(v, jonquieres_matrix(key.orbit))
+    return all((lhs - lam * x).is_zero_poly for lhs, x in zip(rows, v))
 
 
 def check_transpose_eigenvector(key: SpectrumKey) -> bool:
@@ -119,22 +112,19 @@ def realization_points(key: SpectrumKey) -> RealizationPlan:
     b = a + 1
     inv_lam1 = (a - 1).inverse()
 
-    labels = [(1, 0), (1, 1)]
-    labels += [(i, j) for i, n in enumerate(key.tuple, start=2) for j in range(n)]
-    points = {label: (3 * coord - b) * inv_lam1 for label, coord in zip(labels, v[1:])}
+    points = {label: (3 * coord - b) * inv_lam1 for label, coord in zip(basis(key.orbit), v[1:])}
     return RealizationPlan(key, ctx, a, b, points)
 
 
 def check_affine_recursion(plan: RealizationPlan) -> bool:
     """a*q(i,j) + b = q(i,j+1) for every orbit and every non-terminal step."""
     a, b = plan.a, plan.b
-    if not residue_is_zero(a * plan.point(1, 0) + b - plan.point(1, 1)):
-        return False
-    for i, n in enumerate(plan.key.tuple, start=2):
-        for j in range(n - 1):
-            if not residue_is_zero(a * plan.point(i, j) + b - plan.point(i, j + 1)):
-                return False
-    return True
+    labels = plan.labels()
+    return all(
+        residue_is_zero(a * plan.point(*x) + b - plan.point(*y))
+        for x, y in zip(labels, labels[1:])
+        if y == (x[0], x[1] + 1)
+    )
 
 
 def check_eigen_system(plan: RealizationPlan) -> bool:
@@ -142,29 +132,15 @@ def check_eigen_system(plan: RealizationPlan) -> bool:
 
     With F the lattice matrix and p_k the point at coordinate k: the first
     column gives 3b = sum_k F[k][0] p_k, and every other column i gives
-    a p_i + b = sum_k F[k][i] p_k (rows k >= 1 throughout).
+    a p_i + b = sum_k F[k][i] p_k (rows k >= 1 throughout).  The right-hand
+    sides are F^T applied to (0, p_1, p_2, ...).
     """
-    f = jonquieres_matrix(plan.key.orbit)
-    n = len(f)
     pts = list(plan.points.values())
     a, b = plan.a, plan.b
-    ctx = plan.context
-
-    rhs0 = ctx.zero
-    for k in range(1, n):
-        if f[k][0]:
-            rhs0 = rhs0 + f[k][0] * pts[k - 1]
-    if not residue_is_zero(3 * b - rhs0):
+    rhs = vec_mat([0] + pts, jonquieres_matrix(plan.key.orbit))
+    if not residue_is_zero(3 * b - rhs[0]):
         return False
-
-    for col in range(1, n):
-        rhs = ctx.zero
-        for k in range(1, n):
-            if f[k][col]:
-                rhs = rhs + f[k][col] * pts[k - 1]
-        if not residue_is_zero(a * pts[col - 1] + b - rhs):
-            return False
-    return True
+    return all(residue_is_zero(a * p + b - r) for p, r in zip(pts, rhs[1:]))
 
 
 class CheckResult(Frozen):
@@ -293,7 +269,7 @@ def verify_realization(key: SpectrumKey) -> VerificationReport:
         offcurve.append(_nonzero(f"q{lab} != curve residual", plan.point(*lab) - residual))
     offcurve.append(_positive("lambda^2+1 > 0", lam2 + 1))
     offcurve.append(_positive("lambda^2+lambda > 0", lam2 + lam))
-    for i, n in enumerate(key.tuple, start=2):
+    for n in key.tuple:
         for j in range(n):
             # lambda^2(lambda^n+1) + lambda^j, from powers
             expr = ctx.x_power(n + 2) + lam2 + ctx.x_power(j)

@@ -318,6 +318,21 @@ def test_realize_invalid_key_exits_2(capsys):
     assert code == 2 and "error" in err
 
 
+HUGE = "100000000000000000000"  # 10^20 fails before any allocation; lengths near 10^8..2^63 would allocate gigabytes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(command, "--d", "4", "--tuple", HUGE) for command in ("poly", "matrix", "census", "lambda", "classify", "weyl")]
+    + [("realize", "--d", "4", "--tuple", HUGE + ",3,4,5,6,7")],
+)
+def test_orbit_length_too_large_to_index_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.delenv("SALEMFORGE_CACHE", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_emit_table_empty():
     from salemforge.cli import emit_table
 

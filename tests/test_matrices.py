@@ -152,6 +152,23 @@ def test_mat_mul_empty_shapes():
     assert matrices.mat_mul(((1, 2),), ((), ())) == ((),)
 
 
+# -- vec_mat ---------------------------------------------------------------
+
+
+@given(sparse_square(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_vec_mat_matches_dense_product(a, data):
+    # sparse_square clears whole rows and columns, so zero columns occur
+    v = data.draw(st.lists(ENTRY, min_size=len(a), max_size=len(a)))
+    assert matrices.vec_mat(v, a) == oracle_mat_mul((tuple(v),), a)[0]
+
+
+def test_vec_mat_skips_zero_entries():
+    # a zero entry never multiplies its coordinate, so a zero column is the int 0
+    row = matrices.vec_mat((5, None), ((1, 0), (0, 0)))
+    assert row == (5, 0) and type(row[1]) is int
+
+
 # -- typed errors ----------------------------------------------------------
 
 

@@ -67,6 +67,18 @@ def test_normalize_strips_leading_zeros():
     assert polys.degree(()) == -1
 
 
+def test_binomial_xn_plus_1():
+    assert polys.binomial_xn_plus_1(1) == (1, 1)
+    assert polys.binomial_xn_plus_1(3) == (1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_binomial_xn_plus_1_needs_a_positive_exponent(n):
+    # X^0 + 1 is 2, not X + 1; every orbit length is >= 1
+    with pytest.raises(ValueError, match="n >= 1"):
+        polys.binomial_xn_plus_1(n)
+
+
 def test_monic_divmod_roundtrip():
     p = (5, -2, 7, 1, 3)
     m = (-1, -3, 1)

@@ -135,12 +135,28 @@ def test_affine_recursion_falsification(plan4):
     assert not check_affine_recursion(bad)
 
 
+# the other kinds of step: orbit 1's only step, and the last point of the last orbit
+@pytest.mark.parametrize("label", [(1, 1), (7, 6)], ids=["q(1,1)", "q(7,6)"])
+def test_affine_recursion_falsification_at_orbit_ends(plan4, label):
+    broken = dict(plan4.points)
+    broken[label] = broken[label] + 1
+    bad = RealizationPlan(plan4.key, plan4.context, plan4.a, plan4.b, broken)
+    assert not check_affine_recursion(bad)
+
+
 def test_eigen_system(plan4):
     assert check_eigen_system(plan4)
 
 
 def test_eigen_system_falsification(plan4):
     bad = RealizationPlan(plan4.key, plan4.context, plan4.a + 1, plan4.b, plan4.points)
+    assert not check_eigen_system(bad)
+
+
+def test_eigen_system_falsification_at_one_point(plan4):
+    broken = dict(plan4.points)
+    broken[(5, 2)] = broken[(5, 2)] + 1
+    bad = RealizationPlan(plan4.key, plan4.context, plan4.a, plan4.b, broken)
     assert not check_eigen_system(bad)
 
 
