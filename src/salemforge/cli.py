@@ -1,7 +1,8 @@
 """Batch command line: JSON (default) or CSV on stdout.
 
 Exit codes: 0 success, 2 invalid parameters (argparse's own convention),
-1 internal contradiction such as a failed census sanity check.
+1 internal contradiction such as a failed census sanity check, 141 the
+reader of stdout went away (as for a tool stopped by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -84,25 +86,22 @@ def emit_table(entries, fmt: str) -> str:
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_poly(args) -> int:
+def cmd_poly(args) -> None:
     o = OrbitData(args.d, args.tuple)
     _emit({"coeffs": poly_to_strings(auxiliary_polynomial(o))})
-    return 0
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args) -> None:
     o = OrbitData(args.d, args.tuple)
     _emit(matrices.to_json_dict(jonquieres_matrix(o), basis_labels(o)))
-    return 0
 
 
-def cmd_charpoly(args) -> int:
+def cmd_charpoly(args) -> None:
     o = OrbitData(args.d, args.tuple)
     _emit({"coeffs": poly_to_strings(matrices.char_poly(jonquieres_matrix(o)))})
-    return 0
 
 
-def cmd_lambda(args) -> int:
+def cmd_lambda(args) -> None:
     key = SpectrumKey(args.d, args.tuple)
     value = dynamical_degree(key, args.width)
     digits = max(1, len(str(args.width.denominator)) - 1)
@@ -115,17 +114,15 @@ def cmd_lambda(args) -> int:
             "decimal": value.decimal(digits),
         }
     )
-    return 0
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> None:
     o = OrbitData(args.d, args.tuple)
     c = unit_circle_census(auxiliary_polynomial(o))
     _emit({k: str(v) for k, v in census_to_dict(c).items()})
-    return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> None:
     key = SpectrumKey(args.d, args.tuple)
     store = default_store(args.cache)
     entry = store.get(key) if store else None
@@ -136,10 +133,9 @@ def cmd_classify(args) -> int:
     payload = _entry_row(entry)
     payload["poly"] = poly_to_strings(entry.value.defining)
     _emit(payload)
-    return 0
 
 
-def cmd_weyl(args) -> int:
+def cmd_weyl(args) -> None:
     o = OrbitData(args.d, args.tuple)
     member, certificate = is_weyl_member(jonquieres_matrix(o))
     payload = {"member": member}
@@ -150,26 +146,23 @@ def cmd_weyl(args) -> int:
         payload["reason"] = certificate.reason
     payload["terminal"] = matrices.to_json_dict(certificate.terminal)
     _emit(payload)
-    return 0
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> None:
     entries = enumerate_level_prefix(args.d, args.m, args.limit, args.bound)
     store = default_store(args.cache)
     if store:
         store.put(*entries)
     sys.stdout.write(emit_table(entries, args.format))
-    return 0
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args) -> None:
     key = SpectrumKey(args.d, args.tuple)
     report = verify_realization(key)
     _emit(report.to_json_dict())
-    return 0
 
 
-def cmd_cache(args) -> int:
+def cmd_cache(args) -> None:
     store = default_store(args.cache)
     if store is None:
         raise SalemforgeError("no cache path: pass --cache or set SALEMFORGE_CACHE")
@@ -185,9 +178,8 @@ def cmd_cache(args) -> int:
             payload = _entry_row(entry)
             payload["present"] = True
             _emit(payload)
-        return 0
+        return
     sys.stdout.write(emit_table(store.entries(), args.format))
-    return 0
 
 
 @functools.cache
@@ -199,16 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tuple_required=True, formats=("json",), cache=False):
+    def common(p, cache=False):
         p.add_argument("--d", type=int, required=True, help="degree d >= 1")
         p.add_argument(
             "--tuple",
             type=_parse_tuple,
-            default=() if not tuple_required else None,
-            required=tuple_required,
+            required=True,
             help="comma-separated orbit lengths n_2,...,n_m (may be empty)",
         )
-        p.add_argument("--format", choices=formats, default="json")
+        p.add_argument("--format", choices=("json",), default="json")
         if cache:
             p.add_argument("--cache", default=None, help="JSONL cache path (or SALEMFORGE_CACHE)")
 
@@ -242,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("spectrum", help="ordered prefix of a level set")
-    common(p, tuple_required=False, formats=("json", "csv"), cache=True)
+    p.add_argument("--d", type=int, required=True, help="degree d >= 1")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--cache", default=None, help="JSONL cache path (or SALEMFORGE_CACHE)")
     p.add_argument("--m", type=int, required=True, help="level index 1..2d-1")
     p.add_argument("--limit", type=int, required=True, help="number of members")
     p.add_argument("--bound", type=int, required=True, help="largest allowed entry")
@@ -266,7 +259,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        sys.stdout.flush()  # a short output then meets a closed reader here too
+        return 0
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the interpreter's final
+        # flush raises nothing (the recipe in Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (StructureViolation, CensusContradiction) as exc:
         print(f"internal contradiction: {exc}", file=sys.stderr)
         return 1

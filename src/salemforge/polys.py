@@ -207,14 +207,14 @@ def _int_divmod(p: IntPoly, d: IntPoly) -> tuple:
     r = list(p)
     q = [0] * (len(p) - dd)
     for k in range(len(r) - 1 - dd, -1, -1):
-        c, rem = divmod(r[k + dd], lead)
+        c, rem = divmod(r.pop(), lead)  # the top term cancels, so it is dropped
         if rem:
             raise ValueError("quotient is not integral")
         if c:
             q[k] = c
-            for i, dc in enumerate(d):
-                r[k + i] -= c * dc
-    return normalize(q), normalize(r[:dd])
+            for i in range(dd):
+                r[k + i] -= c * d[i]
+    return normalize(q), normalize(r)
 
 
 def monic_divmod(p: IntPoly, m: IntPoly) -> tuple:
@@ -239,22 +239,13 @@ def divexact(p: IntPoly, d: IntPoly) -> IntPoly:
 def pseudo_divmod(p: IntPoly, q: IntPoly) -> tuple:
     """Pseudo-division: (Q, R) with l**e * p == Q*q + R and deg R < deg q.
 
-    l = lc(q) and e = max(deg p - deg q + 1, 0).  Knuth, TAOCP vol. 2,
-    4.6.1, Algorithm R: each step scales the remainder by l, so the quotient
-    coefficient found at X**k gains the factor l**k.
+    l = lc(q) and e = max(deg p - deg q + 1, 0).  This is the long division
+    of l**e * p by q: each step divides by l once, so before step j < e every
+    remainder coefficient is still a multiple of l**(e - j), and no step's
+    division by l leaves a remainder.
     """
-    dq, l = degree(q), q[-1]
-    s = degree(p) - dq
-    r = list(p)
-    quo = [0] * (s + 1)
-    for k in range(s, -1, -1):
-        c = r.pop()
-        quo[k] = c * l**k
-        r = [x * l for x in r]
-        if c:
-            for i in range(dq):
-                r[k + i] -= c * q[i]
-    return normalize(quo), normalize(r)
+    k = q[-1] ** max(len(p) - len(q) + 1, 0)  # l**e
+    return _int_divmod(p if k == 1 else [c * k for c in p], q)
 
 
 def gcd(p: IntPoly, q: IntPoly) -> IntPoly:

@@ -40,7 +40,7 @@ class ResidueContext:
             raise ValueError("modulus must be monic")
         # evaluation at the root is well defined on Q[X]/(modulus) only if
         # the root is a root of the modulus, i.e. root.defining | modulus
-        if polys.gcd(root.defining, modulus) != root.defining:
+        if polys.pseudo_divmod(modulus, root.defining)[1]:
             raise ValueError("root.defining must divide the modulus")
         self.modulus = modulus
         self._slot = memo_slot(root)

@@ -114,6 +114,8 @@ def _level_tuples(d: int, m: int, bound: int):
             if is_level_member(SpectrumKey(d, (n2,))):
                 yield (n2,)
         return
+    if bound < m:  # m - 1 entries rising strictly from 2 end at m or above
+        return
     for q in _level_tuples(d, m - 1, bound):
         prefix = q[:-1] + (q[-1] + 1,)
         if prefix[-1] > bound:

@@ -1,6 +1,7 @@
 """Command-line surface: payload shapes, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -157,6 +158,21 @@ def test_spectrum_bound_too_small_exit(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_spectrum_level_past_the_bound_exits_2_without_recursing(capsys):
+    # a level-1500 member's last entry is >= 1500, so none fits under bound 3
+    code, out, err = run_cli(
+        capsys, "spectrum", "--d", "1000", "--m", "1500", "--limit", "1", "--bound", "3"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_spectrum_has_no_tuple_option(capsys):
+    argv = ("spectrum", "--d", "4", "--m", "2", "--limit", "2", "--bound", "10")
+    assert usage_exit_code(*argv, "--tuple", "9,9") == 2
+    assert "--tuple" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])
@@ -357,6 +373,26 @@ def test_bad_tuple_argument_exits_2():
         text=True,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [("poly", "--d", "4", "--tuple", "2"), ("realize", "--d", "4", "--tuple", "2,3,4,5,6,7")]
+)
+def test_closed_stdout_exits_141_silently(argv):
+    # the reader is gone before the command writes a byte, short output or long
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "salemforge.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def fresh_process_output(*argv) -> str:

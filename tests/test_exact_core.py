@@ -4,9 +4,10 @@ The oracles below are the earlier Fraction implementations, kept verbatim
 in spirit: Horner with a gcd at every step, Fraction interval Horner,
 the classical Sturm chain of the gcd-based square-free part over Q,
 bisection by its variations at `_split_point` candidates, long division
-over Q, and the extended Euclidean algorithm over Q[X].
-The integer core must reproduce their values, bounds, intervals, quotients
-and inverses exactly.  The power table of a root cell must enclose every
+over Q, Knuth's pseudo-division (Algorithm R) and the extended Euclidean
+algorithm over Q[X].
+The integer core must reproduce their values, bounds, intervals, quotients,
+remainder chains and inverses exactly.  The power table of a root cell must enclose every
 power of every point of a cell of any sign.
 """
 
@@ -15,7 +16,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from salemforge import algebraic, polys
@@ -74,6 +75,23 @@ def oracle_divmod(a, b):
         while r and r[-1] == 0:
             r.pop()
     return q, r
+
+
+def oracle_pseudo_divmod(p, q):
+    """Knuth, TAOCP vol. 2, 4.6.1, Algorithm R: each step scales the remainder
+    by l = lc(q), so the quotient coefficient found at X**k gains the factor l**k."""
+    dq, l = polys.degree(q), q[-1]
+    s = polys.degree(p) - dq
+    r = list(p)
+    quo = [0] * (s + 1)
+    for k in range(s, -1, -1):
+        c = r.pop()
+        quo[k] = c * l**k
+        r = [x * l for x in r]
+        if c:
+            for i in range(dq):
+                r[k + i] -= c * q[i]
+    return polys.normalize(quo), polys.normalize(r)
 
 
 def oracle_derivative(p):
@@ -579,6 +597,34 @@ def test_pseudo_divmod_identity(p, q):
     e = max(polys.degree(p) - polys.degree(q) + 1, 0)
     assert polys.scale(p, q[-1] ** e) == polys.add(polys.mul(quo, q), rem)
     assert polys.degree(rem) < polys.degree(q)
+
+
+@given(polys_small, nonzero_polys, st.integers(1, 6), st.sampled_from([1, -1]))
+@example(p=(), q=(1, 2), k=3, s=-1)  # p = 0
+@example(p=(5, -7), q=(1, 0, 4), k=1, s=-1)  # deg p < deg q
+@example(p=(3, 1, 4, 1, 5), q=(2,), k=1, s=1)  # constant divisor
+@settings(max_examples=300, deadline=None)
+def test_pseudo_divmod_matches_algorithm_r(p, q, k, s):
+    # divisors with content k > 1 and either sign of leading coefficient
+    q = polys.scale(q, k * s)
+    assert polys.pseudo_divmod(p, q) == oracle_pseudo_divmod(p, q)
+
+
+def test_remainder_chains_of_the_sweep_match_algorithm_r(monkeypatch):
+    # every Sturm chain and census chain of the 249 acceptance orbit data,
+    # once through pseudo_divmod and once through Algorithm R
+    from test_spectrum import sweep_keys
+
+    from salemforge.census import _chebyshev_pair
+
+    pairs = []
+    for key in sweep_keys():
+        p = polys.primitive(key.polynomial())
+        pairs += [(p, polys.derivative(p)), _chebyshev_pair(p)]
+    chains = [polys.signed_remainder_chain(*pair) for pair in pairs]
+    monkeypatch.setattr(polys, "pseudo_divmod", oracle_pseudo_divmod)
+    assert len(pairs) == 2 * 249
+    assert [polys.signed_remainder_chain(*pair) for pair in pairs] == chains
 
 
 def test_divexact_rejects_non_integral_quotient():

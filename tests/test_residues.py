@@ -130,6 +130,14 @@ def test_contexts_at_two_roots_of_one_modulus_do_not_mix():
     assert residue_sign(pos.x_power(1)) == 1 and residue_sign(neg.x_power(1)) == -1
 
 
+def test_root_of_a_polynomial_that_does_not_divide_the_modulus_is_refused():
+    sqrt3 = algebraic.AlgebraicReal((-3, 0, 1), algebraic.RationalInterval(1, 2))
+    with pytest.raises(ValueError, match="^root.defining must divide the modulus$"):
+        ResidueContext((-2, 0, 1), sqrt3)
+    # a proper factor divides: sqrt(3) is a root of (X^2 - 3)(X + 5)
+    assert ResidueContext((-15, -3, 5, 1), sqrt3).modulus == (-15, -3, 5, 1)
+
+
 def test_inverse_roundtrip(ctx):
     e = ctx.reduce([-1, 1])  # lambda - 1
     inv = e.inverse()

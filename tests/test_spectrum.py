@@ -135,6 +135,19 @@ def test_enumerate_bound_too_small():
         enumerate_level_prefix(4, 2, 10, 5)
 
 
+@pytest.mark.parametrize(
+    "d,m,limit,bound,message",
+    [
+        # m > bound: the level is empty, and no generator nests 1500 deep to find that
+        (1000, 1500, 1, 3, "only 0 members of level 1500 found with entries <= 3"),
+        (4, 5, 1, 4, "only 0 members of level 5 found with entries <= 4"),
+    ],
+)
+def test_enumerate_level_past_the_bound_is_empty(d, m, limit, bound, message):
+    with pytest.raises(BoundTooSmall, match=f"^{message}$"):
+        enumerate_level_prefix(d, m, limit, bound)
+
+
 def test_enumerate_level3_prefix():
     entries = enumerate_level_prefix(4, 3, 4, 25)
     tuples = [e.key.tuple for e in entries]
