@@ -53,7 +53,7 @@ def add(p: IntPoly, q: IntPoly) -> IntPoly:
 
 
 def neg(p: IntPoly) -> IntPoly:
-    return tuple(-c for c in p)
+    return tuple([-c for c in p])
 
 
 def sub(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -65,7 +65,7 @@ def scale(p: IntPoly, k: int) -> IntPoly:
         return ZERO
     if k == 1:
         return p
-    return tuple(c * k for c in p)
+    return tuple([c * k for c in p])
 
 
 def shift(p: IntPoly, k: int) -> IntPoly:
@@ -84,24 +84,6 @@ def mul(p: IntPoly, q: IntPoly) -> IntPoly:
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return tuple(out)
-
-
-def mul_many(polys: Sequence[IntPoly]) -> IntPoly:
-    out = ONE
-    for p in polys:
-        out = mul(out, p)
-    return out
-
-
-def pow_int(p: IntPoly, n: int) -> IntPoly:
-    out = ONE
-    base = p
-    while n > 0:
-        if n & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        n >>= 1
-    return out
 
 
 def binomial_xn_plus_1(n: int) -> IntPoly:
@@ -193,7 +175,7 @@ def primitive(p: IntPoly) -> IntPoly:
     g = content(p)
     if p[-1] < 0:
         g = -g
-    return tuple(c // g for c in p)
+    return tuple([c // g for c in p])
 
 
 def _int_divmod(p: IntPoly, d: IntPoly) -> tuple:
@@ -353,7 +335,7 @@ def signed_remainder_chain(f0: IntPoly, f1: IntPoly) -> tuple:
         # the stored member is a positive multiple of -rem.
         k = degree(a) - degree(b) + 1
         g = -sign(b[-1]) ** k * content(r)
-        chain.append(tuple(c // g for c in r))
+        chain.append(tuple([c // g for c in r]))
     return tuple(c for c in chain if c)
 
 
@@ -362,7 +344,7 @@ def primitive_signed(p: IntPoly) -> IntPoly:
     if not p:
         return ZERO
     g = content(p)
-    return tuple(c // g for c in p)
+    return tuple([c // g for c in p])
 
 
 def chain_variations_at(chain: Sequence[IntPoly], x) -> int:

@@ -7,22 +7,37 @@ decremented-truncated tuple (n_2, ..., n_{m-2}, n_{m-1} - 1) belongs to
 level m-1 with a strictly smaller value.  Requiring the plain truncation
 (n_2, ..., n_{m-1}) to be a member as well defines the same sets, since the
 value grows strictly with the last entry (induction on m).
+
+Every order statement rests on one identity: the auxiliary polynomial of
+t = (d; n_2, ..., n_m) is P_t = F_t prod_j (X^{n_j} + 1), where
+F_t(x) = x^2 - (d-1)x - 1 + x Sigma_t(x) and Sigma_t(x) = sum_j 1/(x^{n_j} + 1).
+P_t is monic with largest real root lambda(t), so F_t(r) < 0 at an r > 0
+puts lambda(t) above r.  Hence:
+- every value exceeds 2: F_t(2) <= 5 - 2d + 2(2d - 2)/5 = (21 - 6d)/5 < 0;
+- level 2 lies above d - 1: F_(n)(d-1) = (d-1)/((d-1)^n + 1) - 1 < 0;
+- for mu = lambda(S, a - 1), y = mu^(a-1) > 2 and f > a, F_(S,a,f)(mu) =
+  mu [1/(mu y + 1) + 1/(mu^f + 1) - 1/(y + 1)] < 0, as (mu - 1) y (mu^2 y + 1)
+  - (y + 1)(mu y + 1) = mu (mu^2 - mu - 1) y^2 - 2y - 1 > 0 for mu > 2.
+So the value conditions always hold: level m >= 3 is every (n_2, ..., n_m)
+with n_2 >= 3, n_{j+1} >= n_j + 2 for j <= m - 2 and n_m >= n_{m-1} + 1 (the
+decremented truncation is a member, with n_{m-1} - 1 >= 2), and its least
+member (3, 5, ..., 2m - 3, 2m - 2) ends at 2m - 2.  For any two keys,
+F_t(lambda_s) = lambda_s B(lambda_s) and F_s(lambda_t) = -lambda_t B(lambda_t)
+with the bracket B(x) = (d_s - d_t) + Sigma_t(x) - Sigma_s(x): B < 0 at
+lambda_s gives lambda_s < lambda_t, and B > 0 at lambda_t gives lambda_s >
+lambda_t.  `compare_keys` reads these one-sided rules off bounds on B;
+EQUAL comes only from equal polynomials or from `compare`.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebraic import (
-    GREATER,
-    LESS,
-    AlgebraicReal,
-    compare,
-    compare_with_rational,
-    isolate_largest_real_root,
-    refine,
-)
+from . import polys
+from .algebraic import EQUAL, GREATER, LESS, AlgebraicReal, compare, compare_with_rational, memo_slot, refine
+from .algebraic import isolate_largest_real_root
 from .census import UnitCircleCensus, salem_pisot_label, unit_circle_census
 from .errors import BoundTooSmall, CensusContradiction, InvalidKey, StructureViolation, ToleranceNotReached
 from .frozen import Frozen, _set, _tuple
@@ -67,7 +82,8 @@ class SpectrumEntry(Frozen):
 
 @lru_cache(maxsize=8192)
 def _dominant_root(key: SpectrumKey) -> AlgebraicReal:
-    value = isolate_largest_real_root(auxiliary_polynomial(OrbitData(key.d, key.tuple)))
+    value = isolate_largest_real_root(key.polynomial())
+    # proved by F_t(2) <= (21 - 6d)/5 < 0 (module docstring), kept as an exact guard
     if compare_with_rational(value, 2) != GREATER:
         raise StructureViolation(f"dominant root must exceed 2 for {key}")
     return value
@@ -85,46 +101,61 @@ def level1_value(d: int) -> AlgebraicReal:
     return _dominant_root(SpectrumKey(d))
 
 
+def _bracket_bounds(const: int, terms: list, root: AlgebraicReal) -> tuple:
+    """Integers l <= B(x) * 2**k <= u, some k, for every x > 2 of root's
+    interval: B(x) = const + sum c/(x**n + 1) over the (n, c) of `terms`.
+    Each term is monotone, so its floored values at the endpoints bound it,
+    the upper one raised by 1; 2**k > 2**64 * x**n keeps 64 bits of each."""
+    lo, hi, den = polys.common_den(max(root.interval.lo, Fraction(2)), root.interval.hi)
+    k = max((n for n, _ in terms), default=0) * (hi.bit_length() - den.bit_length() + 1) + 64
+    lower = upper = const << k
+    for n, c in terms:
+        dn = den**n
+        at_lo, at_hi = (c * dn << k) // (lo**n + dn), (c * dn << k) // (hi**n + dn)
+        lower += min(at_lo, at_hi)
+        upper += max(at_lo, at_hi) + 1
+    return lower, upper
+
+
+@lru_cache(maxsize=1 << 14)
+def compare_keys(s: SpectrumKey, t: SpectrumKey) -> int:
+    """Exact trichotomy of lambda(s) against lambda(t) by the bracket B.
+
+    Equal d and entry multisets give EQUAL (one polynomial).  Else B < 0 on
+    a cell of lambda(s) gives LESS, B > 0 on one of lambda(t) GREATER, each
+    undecided round narrowing the cell 16-fold; then `compare` decides.
+    Put the key expected to be smaller first: LESS isolates lambda(s) only.
+    """
+    if s.d == t.d and sorted(s.tuple) == sorted(t.tuple):
+        return EQUAL
+    terms = [(n, c) for n in set(s.tuple + t.tuple) if (c := t.tuple.count(n) - s.tuple.count(n))]
+    for key, verdict in ((s, LESS), (t, GREATER)):
+        root = memo_slot(_dominant_root(key)).root
+        for _ in range(8):  # 16-fold narrowings of the cell before moving on
+            lower, upper = _bracket_bounds(s.d - t.d, terms, root)
+            if upper < 0 if verdict == LESS else lower > 0:
+                return verdict
+            root = refine(root, root.interval.width / 16)
+    return compare(_dominant_root(s), _dominant_root(t))
+
+
 def is_level_member(key: SpectrumKey) -> bool:
-    """Decide membership of the key's value in the level-m set."""
-    m = key.m
-    if m == 1:
-        return True
-    if m == 2:
-        return compare_with_rational(_dominant_root(key), key.d - 1) == GREATER
+    """Membership of the key's tuple in level m, by the closed form."""
     t = key.tuple
-    if any(a >= b for a, b in zip(t, t[1:])):
-        return False
-    if t[-2] - 1 < 2:
-        return False
-    smaller = t[:-2] + (t[-2] - 1,)
-    smaller_key = SpectrumKey(key.d, smaller)
-    if not is_level_member(smaller_key):
-        return False
-    return compare(_dominant_root(smaller_key), _dominant_root(key)) == LESS
+    return len(t) < 2 or t[0] >= 3 and all(b >= a + 2 for a, b in zip(t, t[1:-1])) and t[-1] > t[-2]
 
 
-def _level_tuples(d: int, m: int, bound: int):
-    """Lexicographically ordered member tuples with entries <= bound."""
+def _level_tuples(m: int, bound: int):
+    """Level-m members with entries <= bound, in lex order: for k = m - 1 >= 1,
+    the image of the k-subsets c of {3, ..., bound - k + 2} under the
+    order-preserving n_i = c_i + i - 1 (i < k), n_k = c_k + k - 2.  There
+    are none, and no work, when bound < 2k = 2m - 2."""
     if m == 1:
         yield ()
         return
-    if m == 2:
-        for n2 in range(2, bound + 1):
-            if is_level_member(SpectrumKey(d, (n2,))):
-                yield (n2,)
-        return
-    if bound < m:  # m - 1 entries rising strictly from 2 end at m or above
-        return
-    for q in _level_tuples(d, m - 1, bound):
-        prefix = q[:-1] + (q[-1] + 1,)
-        if prefix[-1] > bound:
-            continue
-        lower = _dominant_root(SpectrumKey(d, q))
-        for f in range(prefix[-1] + 1, bound + 1):
-            key = SpectrumKey(d, prefix + (f,))
-            if compare(lower, _dominant_root(key)) == LESS:
-                yield key.tuple
+    k = m - 1
+    for c in itertools.combinations(range(3, bound - k + 3), k):
+        yield (*(x + i for i, x in enumerate(c[:-1])), c[-1] + k - 2)
 
 
 def enumerate_level_prefix(d: int, m: int, limit: int, bound: int) -> list:
@@ -138,18 +169,12 @@ def enumerate_level_prefix(d: int, m: int, limit: int, bound: int) -> list:
         raise InvalidKey(f"level m = {m} out of range for d = {d}")
     if limit < 1:
         raise InvalidKey(f"limit = {limit} must be at least 1")
-    keys = []
-    for t in _level_tuples(d, m, bound):
-        keys.append(SpectrumKey(d, t))
-        if len(keys) == limit:
-            break
+    keys = [SpectrumKey(d, t) for t in itertools.islice(_level_tuples(m, bound), limit)]
     if len(keys) < limit:
-        raise BoundTooSmall(
-            f"only {len(keys)} members of level {m} found with entries <= {bound}"
-        )
+        raise BoundTooSmall(f"only {len(keys)} members of level {m} found with entries <= {bound}")
     entries = [classify_entry(k) for k in keys]
     for a, b in zip(entries, entries[1:]):
-        if compare(a.value, b.value) != LESS:
+        if compare_keys(a.key, b.key) != LESS:
             raise StructureViolation(f"lex order disagrees with value order at {a.key}, {b.key}")
     return entries
 
@@ -160,7 +185,7 @@ def verify_monotone_increase(key: SpectrumKey, position: int) -> bool:
     if not 0 <= position < len(t):
         raise InvalidKey(f"position {position} out of range for {t}")
     bumped = SpectrumKey(key.d, t[:position] + (t[position] + 1,) + t[position + 1 :])
-    return compare(_dominant_root(key), _dominant_root(bumped)) == LESS
+    return compare_keys(key, bumped) == LESS
 
 
 def verify_append_decrease(key: SpectrumKey, appended: int) -> bool:
@@ -168,7 +193,7 @@ def verify_append_decrease(key: SpectrumKey, appended: int) -> bool:
     if appended < 2:
         raise InvalidKey("appended entries must be >= 2")
     extended = SpectrumKey(key.d, key.tuple + (appended,))
-    return compare(_dominant_root(extended), _dominant_root(key)) == LESS
+    return compare_keys(extended, key) == LESS
 
 
 class LimitReport(Frozen):
@@ -191,29 +216,22 @@ def verify_limit_convergence(d: int, prefix: tuple, first: int, last: int, toler
     tolerance = Fraction(tolerance)
     base = SpectrumKey(d, tuple(prefix))
     keys = [SpectrumKey(d, base.tuple + (n,)) for n in range(first, last + 1)]
-    roots = [_dominant_root(k) for k in keys]
-    if any(compare(a, b) != LESS for a, b in zip(roots, roots[1:])):
+    if any(compare_keys(a, b) != LESS for a, b in zip(keys, keys[1:])):
         raise StructureViolation(f"monotone increase failed for d = {d}, prefix {prefix}")
     limit_root = _dominant_root(base)
-    top = roots[-1]
+    top = _dominant_root(keys[-1])
     width = tolerance / 4
-    gap = None
     for _ in range(40):
         lr = refine(limit_root, width)
         tr = refine(top, width)
         upper = lr.interval.hi - tr.interval.lo
         lower = lr.interval.lo - tr.interval.hi
         if upper < tolerance:
-            gap = upper
-            break
+            return LimitReport(d, tuple(prefix), first, last, upper, tolerance)
         if lower >= tolerance:
-            raise ToleranceNotReached(
-                f"gap at n = {last} is at least {lower} >= {tolerance}", achieved=lower
-            )
+            raise ToleranceNotReached(f"gap at n = {last} is at least {lower} >= {tolerance}", achieved=lower)
         width /= 16
-    if gap is None:
-        raise ToleranceNotReached("gap bound did not stabilise", achieved=upper)
-    return LimitReport(d, tuple(prefix), first, last, gap, tolerance)
+    raise ToleranceNotReached("gap bound did not stabilise", achieved=upper)
 
 
 def classify_entry(key: SpectrumKey) -> SpectrumEntry:
@@ -221,9 +239,7 @@ def classify_entry(key: SpectrumKey) -> SpectrumEntry:
     poly = key.polynomial()
     census = unit_circle_census(poly)
     if census.outside != 1:
-        raise CensusContradiction(
-            f"{census.outside} roots outside the unit circle for {key}"
-        )
+        raise CensusContradiction(f"{census.outside} roots outside the unit circle for {key}")
     value = dynamical_degree(key)
     return SpectrumEntry(key, value, census, salem_pisot_label(poly, value))
 

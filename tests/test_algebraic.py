@@ -27,6 +27,8 @@ from salemforge.algebraic import (
 )
 from salemforge.errors import NoRealRoot, NoSplitPoint, NotIsolating
 
+import polytools
+
 
 def sqrt_fraction(n: int, digits: int) -> Fraction:
     """Rational lower approximation of sqrt(n) with `digits` correct digits."""
@@ -74,7 +76,7 @@ def test_isolate_no_real_root():
 
 def test_isolate_picks_largest():
     # roots -1, 1/2, 2: largest is 2
-    p = polys.mul_many([(1, 1), (-1, 2), (-2, 1)])
+    p = polytools.mul_many([(1, 1), (-1, 2), (-2, 1)])
     a = refine(isolate_largest_real_root(p), Fraction(1, 1000))
     assert a.interval.lo > Fraction(3, 2)
     assert a.interval.hi < Fraction(5, 2)

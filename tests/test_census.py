@@ -19,6 +19,8 @@ from salemforge.census import UnitCircleCensus, unit_circle_census
 from salemforge.errors import CensusContradiction
 from salemforge.spectrum import SpectrumKey, dynamical_degree
 
+import polytools
+
 
 def C(i, o, u):
     return UnitCircleCensus(i, o, u)
@@ -45,7 +47,7 @@ def test_origin_roots_count_inside():
 
 
 def test_multiplicities():
-    p = polys.mul(polys.pow_int((-1, 1), 2), (1, 1))  # (X-1)^2 (X+1)
+    p = polys.mul(polytools.pow_int((-1, 1), 2), (1, 1))  # (X-1)^2 (X+1)
     assert unit_circle_census(p) == C(0, 3, 0)
 
 
@@ -58,7 +60,7 @@ def test_reciprocal_pair_without_circle_roots():
 def test_equal_end_coefficients_without_reciprocal_pair():
     # roots 2, 3, 1/6: |a_0| == |a_lead| like every auxiliary polynomial's
     # factors, yet there is no reciprocal pair to extract
-    p = polys.mul_many([(-2, 1), (-3, 1), (-1, 6)])
+    p = polytools.mul_many([(-2, 1), (-3, 1), (-1, 6)])
     assert unit_circle_census(p) == C(1, 0, 2)
 
 
@@ -164,8 +166,8 @@ def test_census_matches_constructed_roots(factors):
 @given(st.lists(known_factors(), min_size=1, max_size=3), st.lists(known_factors(), min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_census_additive_over_products(fs, gs):
-    p = polys.mul_many([f for f, _ in fs])
-    q = polys.mul_many([g for g, _ in gs])
+    p = polytools.mul_many([f for f, _ in fs])
+    q = polytools.mul_many([g for g, _ in gs])
     assert unit_circle_census(polys.mul(p, q)) == unit_circle_census(p) + unit_circle_census(q)
 
 
@@ -176,7 +178,7 @@ def test_winding_matches_constructed_roots(roots):
     roots = [(a, b) for a, b in roots if abs(a) != b]
     if not roots:
         return
-    p = polys.mul_many([(-a, b) for a, b in roots])
+    p = polytools.mul_many([(-a, b) for a, b in roots])
     expect = sum(1 for a, b in roots if abs(a) < b)
     assert unit_circle_census(p) == C(expect, 0, polys.degree(p) - expect)
 
@@ -209,7 +211,7 @@ def inversion_closed_factors():
 @given(st.lists(inversion_closed_factors(), min_size=1, max_size=4))
 @settings(max_examples=150, deadline=None)
 def test_self_inversive_census_matches_constructed_roots(factors):
-    s = polys.mul_many([f for f, _ in factors])
+    s = polytools.mul_many([f for f, _ in factors])
     assume(polys.degree(polys.gcd(s, polys.derivative(s))) == 0)
     expect = C(0, 0, 0)
     for _, loc in factors:
@@ -266,14 +268,14 @@ def _self_inversive_census(s) -> UnitCircleCensus:
 )
 @settings(max_examples=200, deadline=None)
 def test_one_sequence_census_matches_two_path_census(fs, gs):
-    f = polys.mul_many([p for p, _ in fs + gs])
+    f = polytools.mul_many([p for p, _ in fs + gs])
     assume(polys.degree(f) >= 1 and f[0] != 0)
     assume(polys.degree(polys.gcd(f, polys.derivative(f))) == 0)
     assert cen._census_square_free(f) == two_path_census(f)
 
 
 def test_strip_cyclotomic_factors():
-    p = polys.mul_many([polys.cyclotomic(1), polys.cyclotomic(4), (-1, -3, 1)])
+    p = polytools.mul_many([polys.cyclotomic(1), polys.cyclotomic(4), (-1, -3, 1)])
     stripped, removed = cen.strip_cyclotomic_factors(p, 4)
     assert stripped == (-1, -3, 1)
     assert sorted(removed) == [(1, 1), (4, 1)]
@@ -372,9 +374,9 @@ UNDETERMINED = polys.mul((-1, -3, 1), (2, -3, 2))
         (-1, -2, 0, -3, 1),
         LEHMER,
         UNDETERMINED,
-        polys.mul_many([polys.cyclotomic(1), polys.cyclotomic(4), (-1, -3, 1)]),
-        polys.mul_many([polys.cyclotomic(12), polys.cyclotomic(12), polys.cyclotomic(2), LEHMER]),
-        polys.mul_many([polys.cyclotomic(5), polys.cyclotomic(3), UNDETERMINED]),
+        polytools.mul_many([polys.cyclotomic(1), polys.cyclotomic(4), (-1, -3, 1)]),
+        polytools.mul_many([polys.cyclotomic(12), polys.cyclotomic(12), polys.cyclotomic(2), LEHMER]),
+        polytools.mul_many([polys.cyclotomic(5), polys.cyclotomic(3), UNDETERMINED]),
     ],
 )
 @pytest.mark.parametrize("bound", [1, 2, 4, 8])
@@ -461,7 +463,7 @@ PHI = polys.cyclotomic
     ],
 )
 def test_label_of_synthetic_polynomials(factors, expect):
-    p = polys.mul_many(factors)
+    p = polytools.mul_many(factors)
     assert polys.is_monic(p) and abs(p[0]) == 1
     assert unit_circle_census(p).outside == 1
     assert label(p) == oracle_label(p)[0] == expect
@@ -472,8 +474,8 @@ def test_label_of_synthetic_polynomials(factors, expect):
     [
         SpectrumKey(4, (2, 3, 4, 5, 6, 7)).polynomial(),
         SpectrumKey(4, (3, 3)).polynomial(),
-        polys.mul_many([(1, -3, 1), PHI(1), PHI(4)]),
-        polys.mul_many([LEHMER, PHI(1), PHI(1)]),
+        polytools.mul_many([(1, -3, 1), PHI(1), PHI(4)]),
+        polytools.mul_many([LEHMER, PHI(1), PHI(1)]),
     ],
 )
 def test_label_from_wide_interval(p):

@@ -169,6 +169,14 @@ def test_spectrum_level_past_the_bound_exits_2_without_recursing(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("d, m, bound", [("1000", "1200", "1300"), ("600", "1100", "1100")])
+def test_spectrum_level_with_m_below_the_bound_exits_2_without_recursing(capsys, d, m, bound):
+    # a level-m member (m >= 3) ends at 2m - 2 or above, so the level is empty below the bound
+    code, out, err = run_cli(capsys, "spectrum", "--d", d, "--m", m, "--limit", "1", "--bound", bound)
+    assert code == 2 and out == ""
+    assert err == f"error: only 0 members of level {m} found with entries <= {bound}\n"
+
+
 def test_spectrum_has_no_tuple_option(capsys):
     argv = ("spectrum", "--d", "4", "--m", "2", "--limit", "2", "--bound", "10")
     assert usage_exit_code(*argv, "--tuple", "9,9") == 2

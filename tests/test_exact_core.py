@@ -32,6 +32,8 @@ from salemforge.algebraic import (
     refine_clear_of,
 )
 
+import polytools
+
 
 # -- Fraction oracles ------------------------------------------------------
 
@@ -287,7 +289,7 @@ def gcd_square_free_decomposition(p):
 
 factors_small = st.lists(st.integers(-6, 6), min_size=2, max_size=4).map(polys.normalize)
 with_repeated_factors = st.lists(st.tuples(factors_small, st.integers(1, 3)), min_size=1, max_size=3).map(
-    lambda fs: polys.mul_many([polys.pow_int(f, k) for f, k in fs if f])
+    lambda fs: polytools.mul_many([polytools.pow_int(f, k) for f, k in fs if f])
 )
 
 
@@ -301,7 +303,7 @@ def test_square_free_data_from_one_chain_match_gcd_definitions(p, a, b):
     decomposition = polys.square_free_decomposition(p)
     assert decomposition == gcd_square_free_decomposition(p)
     # the factors rebuild the primitive part of p
-    rebuilt = polys.mul_many([polys.pow_int(f, k) for f, k in decomposition])
+    rebuilt = polytools.mul_many([polytools.pow_int(f, k) for f, k in decomposition])
     assert rebuilt == polys.primitive(p)
     lo, hi = ordered(a, b)
     if oracle_eval(p, lo) != 0 and oracle_eval(p, hi) != 0:

@@ -19,6 +19,8 @@ from salemforge.census import unit_circle_census
 from salemforge.errors import NoRealRoot
 from salemforge.jonquieres import OrbitData, auxiliary_polynomial
 
+import polytools
+
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
 X = sympy.Symbol("X")
@@ -34,7 +36,7 @@ def rational(q):
 
 int_polys = st.lists(st.integers(-9, 9), min_size=2, max_size=8).filter(lambda c: c[-1] != 0)
 # squaring a factor gives repeated roots, which both sides count once
-repeated = st.tuples(int_polys, int_polys).map(lambda pq: polys.mul(pq[0], polys.pow_int(pq[1], 2)))
+repeated = st.tuples(int_polys, int_polys).map(lambda pq: polys.mul(pq[0], polytools.pow_int(pq[1], 2)))
 endpoints = st.fractions(min_value=-12, max_value=12, max_denominator=16)
 
 
