@@ -3,6 +3,11 @@
 One record per line, schema 1.  Writers append under an flock of the file;
 readers never lock and tolerate a torn final line by skipping it.  On
 duplicate keys the record with the narrowest certified interval wins.
+
+Reads go through two process-wide memos keyed by content, so each distinct
+line is parsed once and each distinct record (its fields but `ts`) checked
+once per process; an edited line is a new key, never a stale verdict.  Both
+are read without a lock, filled under one, and drop their oldest past `_CAP`.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -29,6 +35,20 @@ from .spectrum import SpectrumEntry, SpectrumKey
 
 SCHEMA = 1
 ENV_VAR = "SALEMFORGE_CACHE"
+
+_CAP = 1 << 14
+_LOCK = threading.Lock()
+_BLANK, _UNPARSEABLE = object(), "unparseable record skipped"  # _UNPARSEABLE is told apart by identity
+_LINES: dict = {}  # line bytes -> _BLANK, _UNPARSEABLE, a malformed-key message, or (record, (d, tuple))
+_CHECKED: dict = {}  # record JSON without ts -> record_to_entry's SpectrumEntry, or its StoreCorrupt message
+
+
+def _remember(memo: dict, key, value):
+    with _LOCK:
+        value = memo.setdefault(key, value)
+        if len(memo) > _CAP:
+            del memo[next(iter(memo))]
+    return value
 
 
 class _FileLock:
@@ -141,31 +161,29 @@ class SpectrumStore:
         with _FileLock(self.path) as fh:
             fh.write(lines)
 
-    def _records(self):
-        """(line number, parsed record) for each line that parses."""
+    def _entries(self, want=None):
+        """Each valid entry whose (d, tuple) is `want` (every one if None); a
+        corrupt record of that key, or with a malformed key, warns instead."""
         if not self.path.exists():
             return
         with open(self.path, "rb") as fh:
             lines = fh.readlines()
         for lineno, line in enumerate(lines, 1):
-            try:
-                line = line.decode("utf-8").strip()
-                if line:
-                    yield lineno, json.loads(line)
-            except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep to parse
-                if lineno == len(lines):
-                    continue  # torn final line from a concurrent writer
-                warnings.warn(f"{self.path}:{lineno}: unparseable record skipped")
+            verdict = _LINES.get(line) or _remember(_LINES, line, _parse(line))
+            if type(verdict) is tuple:  # a record and its key
+                if want not in (None, verdict[1]):
+                    continue
+                verdict = _checked(verdict[0], line)
+            if verdict is _BLANK or verdict is _UNPARSEABLE and lineno == len(lines):
+                continue  # a torn final line from a concurrent writer is expected
+            if isinstance(verdict, str):
+                warnings.warn(f"{self.path}:{lineno}: {verdict}")
+            else:
+                yield verdict
 
     def entries(self) -> list:
         """Every valid entry; each corrupt record is skipped with a warning."""
-        out = []
-        for lineno, record in self._records():
-            try:
-                out.append(record_to_entry(record))
-            except StoreCorrupt as exc:
-                warnings.warn(f"{self.path}:{lineno}: {exc}")
-        return out
+        return list(self._entries())
 
     def get(self, key):
         """Narrowest stored entry for the key, or None.
@@ -173,18 +191,39 @@ class SpectrumStore:
         Only records whose key matches are checked in full, so a corrupt
         record of another key is skipped without a warning.
         """
-        best = None
-        for lineno, record in self._records():
-            try:
-                if record_key(record) != key:
-                    continue
-                entry = record_to_entry(record)
-            except StoreCorrupt as exc:
-                warnings.warn(f"{self.path}:{lineno}: {exc}")
-                continue
-            if best is None or entry.value.interval.width < best.value.interval.width:
-                best = entry
-        return best
+        return min(self._entries((key.d, key.tuple)), key=lambda e: e.value.interval.width, default=None)
+
+
+def _parse(line: bytes):
+    """The outcome of one line, as _LINES holds it."""
+    try:
+        text = line.decode("utf-8").strip()
+        if not text:
+            return _BLANK
+        record = json.loads(text)
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep to parse
+        return _UNPARSEABLE
+    try:
+        key = record_key(record)
+    except StoreCorrupt as exc:
+        return str(exc)
+    return record, (key.d, key.tuple)
+
+
+def _checked(record, line):
+    """record_to_entry's verdict on a parsed record, once per content but `ts`."""
+    try:  # record_to_entry never reads ts; key order stays, since its messages can show it
+        check = json.dumps({k: v for k, v in record.items() if k != "ts"})
+    except RecursionError:  # parsed just below the limit: key the verdict by the line
+        check = line
+    verdict = _CHECKED.get(check)
+    if verdict is None:
+        try:
+            verdict = record_to_entry(record)
+        except StoreCorrupt as exc:  # a message: a kept exception would grow its traceback on each raise
+            verdict = str(exc)
+        verdict = _remember(_CHECKED, check, verdict)
+    return verdict
 
 
 def default_store(path_flag=None) -> SpectrumStore | None:

@@ -5,13 +5,14 @@ import json
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
 import pytest
 
-from salemforge import polys
-from salemforge.cache import SpectrumStore, _FileLock, default_store
+from salemforge import cache, polys
+from salemforge.cache import SpectrumStore, _FileLock, default_store, record_to_entry
 from salemforge.spectrum import SpectrumKey, classify_entry, dynamical_degree
 from fractions import Fraction
 
@@ -361,3 +362,161 @@ def test_default_store_env(tmp_path, monkeypatch):
     assert store is not None and store.path.name == "env.jsonl"
     fromflag = default_store(str(tmp_path / "flag.jsonl"))
     assert fromflag.path.name == "flag.jsonl"
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty line and verdict memos, so a test sees only its own reads."""
+    monkeypatch.setattr(cache, "_LINES", {})
+    monkeypatch.setattr(cache, "_CHECKED", {})
+
+
+def test_line_edited_in_place_is_checked_again(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (2,)))
+    good = path.read_bytes()
+    key = SpectrumKey(4, (2,))
+    assert lookup(store, key) == (make_entry(4, (2,)), [])
+    record = stored_record(path)
+    record["interval"] = {"lo": "100", "hi": "200"}  # no root in there
+    path.write_text(json.dumps(record) + "\n")
+    got, caught = lookup(store, key)
+    assert got is None and len(caught) == 1 and f"{path}:1: stored interval" in caught[0]
+    path.write_bytes(good)
+    assert lookup(store, key) == (make_entry(4, (2,)), [])
+
+
+def test_corrupt_line_warns_on_every_call_with_its_line_number(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (2,)))
+    bad = stored_record(path)
+    bad["label"] = "salem"
+    append_record(path, bad)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    store.put(make_entry(4, (3,)))
+    for _ in range(3):
+        got, caught = lookup(store, SpectrumKey(4, (2,)))
+        assert got == make_entry(4, (2,))
+        assert [m.split(": ")[0] for m in caught] == [f"{path}:2", f"{path}:3"]
+        with warnings.catch_warnings(record=True) as listed:
+            warnings.simplefilter("always")
+            assert len(store.entries()) == 2
+        assert [str(w.message).split(": ")[0] for w in listed] == [f"{path}:2", f"{path}:3"]
+
+
+def test_record_checked_once_whatever_its_ts(tmp_path, monkeypatch, fresh_memos):
+    calls = []
+
+    def counting(record):
+        calls.append(record)
+        return record_to_entry(record)
+
+    monkeypatch.setattr(cache, "record_to_entry", counting)
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (3, 3)))
+    record = stored_record(path)
+    append_record(path, {**record, "ts": record["ts"] + 1})
+    for _ in range(2):
+        assert lookup(store, SpectrumKey(4, (3, 3))) == (make_entry(4, (3, 3)), [])
+        assert len(store.entries()) == 2
+    assert len(calls) == 1
+    changes = [
+        {"label": "salem_like"},
+        {"interval": {"lo": "2", "hi": "5"}},
+        {"census": {"inside": 5, "on": 2, "outside": 1}},
+        {"poly": record["poly"] + ["0"]},
+        {"extra": None},
+        {"tuple": [3, 4]},
+    ]
+    for change in changes:
+        append_record(path, {**record, **change})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        store.entries()
+        store.entries()
+    assert len(calls) == 1 + len(changes)
+
+
+def test_record_too_deep_to_encode_is_checked_by_its_line(tmp_path, monkeypatch, fresh_memos):
+    # json.dumps can fail on a record that json.loads parsed just below the recursion limit
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (2,)))
+
+    def too_deep(obj, *args, **kwargs):
+        raise RecursionError
+
+    monkeypatch.setattr(cache.json, "dumps", too_deep)
+    for _ in range(2):
+        assert lookup(store, SpectrumKey(4, (2,))) == (make_entry(4, (2,)), [])
+    assert list(cache._CHECKED) == [path.read_bytes()]
+
+
+def test_torn_final_line_is_read_once_completed(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    store.put(make_entry(4, (3,)))
+    store.put(make_entry(4, (2,)))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + lines[1][:40])  # the writer has written part of its record
+    key = SpectrumKey(4, (2,))
+    assert lookup(store, key) == (None, [])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(lines[1][40:])
+    assert lookup(store, key) == (make_entry(4, (2,)), [])
+
+
+def test_readers_agree_with_one_thread_while_a_writer_appends(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    others = [make_entry(4, (n,)) for n in range(2, 7)]
+    store.put(make_entry(4, (3, 3)), *others)
+    key = SpectrumKey(4, (3, 3))
+    expected = store.get(key)
+    results, errors = [], []
+
+    def read():
+        try:
+            for _ in range(40):
+                results.append(store.get(key))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    def append():
+        try:
+            for i in range(40):
+                store.put(others[i % len(others)], make_entry(4, (3, 3)))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read) for _ in range(8)] + [threading.Thread(target=append)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and not caught
+    assert len(results) == 8 * 40 and all(r == expected for r in results)
+
+
+def test_memos_hold_at_most_their_cap(tmp_path, monkeypatch, fresh_memos):
+    monkeypatch.setattr(cache, "_CAP", 4)
+    path = tmp_path / "cache.jsonl"
+    store = SpectrumStore(path)
+    entries = [make_entry(4, (n,)) for n in range(2, 9)]
+    store.put(*entries)
+    for _ in range(2):
+        assert store.entries() == entries
+        assert len(cache._LINES) <= 4 and len(cache._CHECKED) <= 4
+    assert store.get(SpectrumKey(4, (2,))) == entries[0]
